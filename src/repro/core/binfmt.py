@@ -84,10 +84,13 @@ __all__ = [
     "BinaryStreamWriter",
     "write_binary_stream",
     "iter_binary_batches",
+    "check_view",
+    "scan_view",
     "iter_wire_frame_counts",
     "iter_parse_binary_chunks",
     "parse_binary_stream",
     "read_frame_index",
+    "read_frame_table",
     "convert_stream",
 ]
 
@@ -710,6 +713,28 @@ def _open_binary_view(path: str | Path):
     return mapped
 
 
+def _index_entries(mapped) -> list[tuple[int, int, int]] | None:
+    """The trailing ``(offset, count, kind)`` entries of an open mapping,
+    or ``None`` when it carries no (valid) footer."""
+    size = len(mapped)
+    tail = _INDEX_OFFSET.size + len(END_MAGIC)
+    if size < tail or mapped[size - len(END_MAGIC) :] != END_MAGIC:
+        return None
+    (index_offset,) = _INDEX_OFFSET.unpack_from(mapped, size - tail)
+    if (
+        index_offset + len(INDEX_MAGIC) + _INDEX_COUNT.size > size
+        or mapped[index_offset : index_offset + len(INDEX_MAGIC)]
+        != INDEX_MAGIC
+    ):
+        return None
+    (count,) = _INDEX_COUNT.unpack_from(mapped, index_offset + len(INDEX_MAGIC))
+    entries_start = index_offset + len(INDEX_MAGIC) + _INDEX_COUNT.size
+    entries_end = entries_start + count * _INDEX_ENTRY.size
+    if entries_end > size - tail:
+        return None
+    return list(_INDEX_ENTRY.iter_unpack(mapped[entries_start:entries_end]))
+
+
 def read_frame_index(path: str | Path) -> list[tuple[int, int, int]] | None:
     """The trailing ``(offset, count, kind)`` frame index, or ``None``.
 
@@ -719,28 +744,24 @@ def read_frame_index(path: str | Path) -> list[tuple[int, int, int]] | None:
     """
     mapped = _open_binary_view(path)
     try:
-        size = len(mapped)
-        tail = _INDEX_OFFSET.size + len(END_MAGIC)
-        if size < tail or mapped[size - len(END_MAGIC) :] != END_MAGIC:
-            return None
-        (index_offset,) = _INDEX_OFFSET.unpack_from(
-            mapped, size - tail
-        )
-        if (
-            index_offset + len(INDEX_MAGIC) + _INDEX_COUNT.size > size
-            or mapped[index_offset : index_offset + len(INDEX_MAGIC)]
-            != INDEX_MAGIC
-        ):
-            return None
-        (count,) = _INDEX_COUNT.unpack_from(
-            mapped, index_offset + len(INDEX_MAGIC)
-        )
-        entries_start = index_offset + len(INDEX_MAGIC) + _INDEX_COUNT.size
-        if entries_start + count * _INDEX_ENTRY.size > size - tail:
-            return None
+        return _index_entries(mapped)
+    finally:
+        mapped.close()
+
+
+def read_frame_table(path: str | Path) -> list[tuple[int, int, int]]:
+    """Every frame's ``(offset, count, kind)``: the trailing index, or a
+    frame-header walk when the file has none."""
+    mapped = _open_binary_view(path)
+    try:
+        index = _index_entries(mapped)
+        if index is not None:
+            return index
         return [
-            _INDEX_ENTRY.unpack_from(mapped, entries_start + i * _INDEX_ENTRY.size)
-            for i in range(count)
+            (offset, count, kind)
+            for offset, kind, count, __ in _walk_frames(
+                mapped, _frames_end(mapped)
+            )
         ]
     finally:
         mapped.close()
@@ -761,8 +782,121 @@ def _frames_end(mapped) -> int:
     return size
 
 
+def _walk_frames(mapped, end: int) -> Iterator[tuple[int, int, int, int]]:
+    """``(offset, kind, count, frame_end)`` of every frame before
+    ``end``, jumping frame header to frame header."""
+    position = len(MAGIC)
+    while position < end:
+        # A truncated trailing index (no valid footer) starts with
+        # INDEX_MAGIC where a frame header would be: stop cleanly.
+        if mapped[position : position + len(INDEX_MAGIC)] == INDEX_MAGIC:
+            break
+        try:
+            kind, count, body_len = _FRAME_HEADER.unpack_from(mapped, position)
+        except struct.error:
+            raise StreamFormatError(
+                "truncated binary frame header",
+                byte_offset=position,
+            ) from None
+        frame_end = position + FRAME_HEADER_SIZE + body_len
+        if frame_end > end:
+            raise StreamFormatError(
+                f"binary frame overruns the file ({frame_end} > {end})",
+                byte_offset=position,
+            )
+        if kind != FRAME_GRAPH and kind != FRAME_CONTROL:
+            raise StreamFormatError(
+                f"unknown binary frame kind {kind}",
+                byte_offset=position,
+            )
+        yield position, kind, count, frame_end
+        position = frame_end
+
+
+def check_view(view: tuple[int, int]) -> None:
+    """Reject a malformed ``(worker, workers)`` frame view."""
+    worker, workers = view
+    if workers <= 0 or not 0 <= worker < workers:
+        raise ValueError(
+            f"frame view ({worker}, {workers}) needs 0 <= worker < workers"
+        )
+
+
+def _view_frames(
+    mapped, end: int, view: tuple[int, int]
+) -> Iterator[tuple[int, int, int, int]]:
+    """The frames of view ``(worker, workers)``: every graph frame whose
+    graph-frame ordinal is ``worker`` modulo ``workers``, and every
+    control frame, in stream order.
+
+    With a trailing index the worker reads its own frames' offsets from
+    it and touches no other frame.  Each frame it takes must agree with
+    its index entry (kind, count) and end exactly where the next entry
+    starts, so the views of all workers together check that the index
+    tiles the frame region.  Without an index the frames are found by
+    the header walk.
+    """
+    worker, workers = view
+    entries = _index_entries(mapped)
+    if entries is None:
+        ordinal = -1
+        for frame in _walk_frames(mapped, end):
+            if frame[1] == FRAME_GRAPH:
+                ordinal += 1
+                if ordinal % workers != worker:
+                    continue
+            yield frame
+        return
+    if (entries[0][0] if entries else end) != len(MAGIC):
+        raise StreamFormatError(
+            "frame index does not start at the first frame",
+            byte_offset=len(MAGIC),
+        )
+    last = len(entries) - 1
+    ordinal = -1
+    for number, (offset, count, kind) in enumerate(entries):
+        if kind == FRAME_GRAPH:
+            ordinal += 1
+            if ordinal % workers != worker:
+                continue
+        elif kind != FRAME_CONTROL:
+            raise StreamFormatError(
+                f"frame index entry {number} has unknown kind {kind}",
+                byte_offset=offset,
+            )
+        frame_end = entries[number + 1][0] if number < last else end
+        try:
+            header = _FRAME_HEADER.unpack_from(mapped, offset)
+        except struct.error:
+            raise StreamFormatError(
+                f"frame index entry {number} points past the frames",
+                byte_offset=offset,
+            ) from None
+        if header != (kind, count, frame_end - offset - FRAME_HEADER_SIZE):
+            raise StreamFormatError(
+                f"frame index entry {number} ({kind}, {count} records, "
+                f"ends at {frame_end}) disagrees with the frame header "
+                f"{header}",
+                byte_offset=offset,
+            )
+        yield offset, kind, count, frame_end
+
+
+def _frames(
+    mapped, view: tuple[int, int] | None
+) -> Iterator[tuple[int, int, int, int]]:
+    """The whole file's frames, or one view's (see :func:`_view_frames`)."""
+    end = _frames_end(mapped)
+    if view is None:
+        return _walk_frames(mapped, end)
+    check_view(view)
+    return _view_frames(mapped, end, view)
+
+
 # hot-path
-def iter_binary_batches(path: str | Path) -> Iterator["RawBatch | Event"]:
+def iter_binary_batches(
+    path: str | Path, view: tuple[int, int] | None = None
+) -> Iterator["RawBatch | Event"]:
     """Yield zero-copy graph-frame :class:`RawBatch` runs and parsed
     control events — the binary analogue of
     :func:`repro.core.codec.iter_raw_batches`.
@@ -773,53 +907,71 @@ def iter_binary_batches(path: str | Path) -> Iterator["RawBatch | Event"]:
     count records from the headers alone.  Control frames are decoded
     into their :class:`Event` objects.  The iterator jumps frame header
     to frame header — no content scanning.
+
+    ``view=(worker, workers)`` yields only that worker's shard of the
+    file: graph frames whose ordinal is ``worker`` modulo ``workers``
+    plus every control frame (see :func:`_view_frames`).  This is how a
+    sharded replay reads a binary source without shard files.
     """
     from repro.core.codec import RawBatch
 
     mapped = _open_binary_view(path)
-    view = memoryview(mapped)
+    buffer = memoryview(mapped)
     try:
-        end = _frames_end(mapped)
-        position = len(MAGIC)
-        while position < end:
-            # A truncated trailing index (no valid footer) starts with
-            # INDEX_MAGIC where a frame header would be: stop cleanly.
-            if mapped[position : position + len(INDEX_MAGIC)] == INDEX_MAGIC:
-                break
-            try:
-                kind, count, body_len = _FRAME_HEADER.unpack_from(
-                    mapped, position
-                )
-            except struct.error:
-                raise StreamFormatError(
-                    "truncated binary frame header",
-                    byte_offset=position,
-                ) from None
-            frame_end = position + FRAME_HEADER_SIZE + body_len
-            if frame_end > end:
-                raise StreamFormatError(
-                    f"binary frame overruns the file "
-                    f"({frame_end} > {end})",
-                    byte_offset=position,
-                )
+        for position, kind, count, frame_end in _frames(mapped, view):
             if kind == FRAME_GRAPH:
-                yield RawBatch(view[position:frame_end], count, True)
-            elif kind == FRAME_CONTROL:
-                yield decode_event(view, position + FRAME_HEADER_SIZE)
+                yield RawBatch(buffer[position:frame_end], count, True)
             else:
-                raise StreamFormatError(
-                    f"unknown binary frame kind {kind}",
-                    byte_offset=position,
-                )
-            position = frame_end
+                yield decode_event(buffer, position + FRAME_HEADER_SIZE)
     finally:
-        view.release()
+        buffer.release()
         try:
             mapped.close()
         except BufferError:
             # A consumer still holds the last frame's view; the mapping
             # closes when that view is garbage-collected.
             pass
+
+
+def scan_view(path: str | Path, view: tuple[int, int]) -> tuple[int, int]:
+    """Validate every frame of one frame view of a file and return
+    ``(frames, records)``.
+
+    Graph frames get the :func:`scan_frame` record walk and control
+    frames a full decode.  A malformed frame raises
+    :class:`~repro.errors.StreamFormatError` whose ``byte_offset`` is
+    the offending byte's offset in the file.
+    """
+    mapped = _open_binary_view(path)
+    buffer = memoryview(mapped)
+    frames = 0
+    records = 0
+    try:
+        for position, kind, count, frame_end in _frames(mapped, view):
+            frame = buffer[position:frame_end]
+            try:
+                if kind == FRAME_GRAPH:
+                    records += scan_frame(frame)
+                else:
+                    decode_event(frame, FRAME_HEADER_SIZE)
+                    records += 1
+            except StreamFormatError as exc:
+                # Re-anchor the frame-relative offset in the file.
+                detail = str(exc)
+                relative = f"byte offset {exc.byte_offset}: "
+                if detail.startswith(relative):
+                    detail = detail[len(relative) :]
+                raise StreamFormatError(
+                    f"{path}: frame at byte offset {position}: {detail}",
+                    byte_offset=position + (exc.byte_offset or 0),
+                ) from exc
+            finally:
+                frame.release()
+            frames += 1
+    finally:
+        buffer.release()
+        mapped.close()
+    return frames, records
 
 
 def iter_wire_frame_counts(file) -> Iterator[int]:
@@ -861,18 +1013,20 @@ def iter_parse_binary_chunks(
     *,
     chunk_events: int = 1024,
     tracer: "Tracer | None" = None,
+    view: tuple[int, int] | None = None,
 ) -> Iterator[list[Event]]:
     """Yield chunks (lists) of decoded events from a binary stream file.
 
     The binary sibling of :func:`repro.core.codec.iter_parse_chunks`,
     used by the replayer's reader thread.  With a tracer, each decoded
-    frame gets a sampled ``decoded`` span.
+    frame gets a sampled ``decoded`` span.  ``view`` restricts the
+    chunks to one frame view (see :func:`iter_binary_batches`).
     """
     if chunk_events <= 0:
         raise ValueError(f"chunk_events must be positive, got {chunk_events}")
     pending: list[Event] = []
     decoded = 0
-    for item in iter_binary_batches(path):
+    for item in iter_binary_batches(path, view):
         if isinstance(item, Event):
             pending.append(item)
         elif tracer is None:
@@ -954,14 +1108,7 @@ def stream_summary(path: str | Path) -> dict[str, int]:
     Falls back to frame-header jumping when the index is missing.
     Returns ``{"graph_events": ..., "control_events": ..., "frames": ...}``.
     """
-    index = read_frame_index(path)
-    if index is None:
-        index = []
-        for item in iter_binary_batches(path):
-            if isinstance(item, Event):
-                index.append((0, 1, FRAME_CONTROL))
-            else:
-                index.append((0, item.count, FRAME_GRAPH))
+    index = read_frame_table(path)
     graph = sum(count for __, count, kind in index if kind == FRAME_GRAPH)
     control = sum(count for __, count, kind in index if kind == FRAME_CONTROL)
     return {

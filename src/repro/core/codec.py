@@ -543,6 +543,15 @@ def _iter_line_blocks_mmap(path: str | Path) -> Iterator[list[str]]:
         mapped.close()
 
 
+def _is_binary(path: str | Path, view: tuple[int, int] | None) -> bool:
+    """Whether ``path`` is a binary stream; a frame view of a CSV file
+    is an error."""
+    binary = detect_stream_format(path) == "binary"
+    if view is not None and not binary:
+        raise ValueError(f"{path}: frame views need a binary stream file")
+    return binary
+
+
 #: First bytes of the six graph-changing commands (``ADD_*``,
 #: ``REMOVE_*``, ``UPDATE_*``); no marker/control command shares them.
 _RAW_GRAPH_FIRST_BYTES = frozenset(b"ARU")
@@ -574,7 +583,10 @@ class RawBatch:
 
 # hot-path
 def iter_raw_batches(
-    path: str | Path, *, batch_lines: int = 256
+    path: str | Path,
+    *,
+    batch_lines: int = 256,
+    view: tuple[int, int] | None = None,
 ) -> Iterator[RawBatch | Event]:
     """Yield zero-copy :class:`RawBatch` runs and parsed control events.
 
@@ -590,13 +602,17 @@ def iter_raw_batches(
     is shared by exactly the six graph commands) and are *not*
     revalidated — the same trust contract as ``trusted=True`` parsing,
     intended for machine-generated files such as partition shards.
+
+    ``view=(worker, workers)`` selects one frame view of a binary file
+    (see :func:`repro.core.binfmt.iter_binary_batches`); CSV files have
+    no frames to view.
     """
     if batch_lines <= 0:
         raise ValueError(f"batch_lines must be positive, got {batch_lines}")
-    if detect_stream_format(path) == "binary":
+    if _is_binary(path, view):
         from repro.core import binfmt
 
-        yield from binfmt.iter_binary_batches(path)
+        yield from binfmt.iter_binary_batches(path, view)
         return
     mapped = _open_stream_mmap(path)
     if mapped is None:
@@ -695,6 +711,7 @@ def iter_parse_chunks(
     trusted: bool = False,
     chunk_events: int = 1024,
     tracer: "Tracer | None" = None,
+    view: tuple[int, int] | None = None,
 ) -> Iterator[list[Event]]:
     """Yield chunks (lists) of parsed events from a stream file.
 
@@ -704,15 +721,16 @@ def iter_parse_chunks(
     sampled ``decoded`` span (stamped on the tracer's clock) so the
     reader side of the pipeline is visible in exported traces.
     Trusted parses read blocks through the mmap iterator (no
-    carry-string copies).
+    carry-string copies).  ``view`` selects one frame view of a binary
+    file, as in :func:`iter_raw_batches`.
     """
     if chunk_events <= 0:
         raise ValueError(f"chunk_events must be positive, got {chunk_events}")
-    if detect_stream_format(path) == "binary":
+    if _is_binary(path, view):
         from repro.core import binfmt
 
         yield from binfmt.iter_parse_binary_chunks(
-            path, chunk_events=chunk_events, tracer=tracer
+            path, chunk_events=chunk_events, tracer=tracer, view=view
         )
         return
     pending: list[Event] = []

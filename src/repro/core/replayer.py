@@ -159,11 +159,13 @@ class _ReaderThread:
         queue_capacity: int,
         trusted_parse: bool,
         tracer: Tracer | None = None,
+        view: tuple[int, int] | None = None,
     ):
         self._source = source
         self._read_chunk = read_chunk
         self._trusted_parse = trusted_parse
         self._tracer = tracer
+        self._view = view
         # The queue holds chunks, so express the event-denominated
         # capacity in chunk units (at least two so reader and emitter
         # can overlap).
@@ -198,6 +200,7 @@ class _ReaderThread:
                     trusted=self._trusted_parse,
                     chunk_events=self._read_chunk,
                     tracer=self._tracer,
+                    view=self._view,
                 ):
                     if not self._put(chunk):
                         return
@@ -273,6 +276,10 @@ class LiveReplayer:
     ``emitted`` spans per batch, ``marker`` instants, and an exact
     ``emitted`` count for span accounting.  ``tracer=None`` (default)
     keeps the hot path untouched.
+
+    ``view=(worker, workers)`` replays one frame view of a binary
+    stream file (see :func:`repro.core.binfmt.iter_binary_batches`):
+    the sharded replayer's ``events`` emission over a binary source.
     """
 
     def __init__(
@@ -292,6 +299,7 @@ class LiveReplayer:
         reader_join_timeout: float = 5.0,
         clock: TraceClock | None = None,
         tracer: Tracer | None = None,
+        view: tuple[int, int] | None = None,
     ):
         if rate <= 0:
             raise ValueError(f"rate must be positive, got {rate}")
@@ -314,6 +322,8 @@ class LiveReplayer:
             raise ValueError("resume_delay must be >= 0")
         if reader_join_timeout <= 0:
             raise ValueError("reader_join_timeout must be positive")
+        if view is not None and not isinstance(source, (str, Path)):
+            raise ValueError("a frame view needs a stream file source")
         self._source = source
         self._transport = transport
         self._base_rate = rate
@@ -331,6 +341,7 @@ class LiveReplayer:
             clock = tracer.clock
         self._clock = clock if clock is not None else shared_clock()
         self._tracer = tracer
+        self._view = view
         #: True when a reader thread could not be joined (stuck source).
         self.reader_leaked = False
 
@@ -345,6 +356,7 @@ class LiveReplayer:
             self._queue_capacity,
             self._trusted_parse,
             tracer=self._tracer,
+            view=self._view,
         )
 
     # -- emission ----------------------------------------------------------

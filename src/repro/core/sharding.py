@@ -19,12 +19,22 @@ to the same stream positions — shard replays stay mutually
 phase-consistent, and the union of shard emissions is exactly the
 original stream's graph-event multiset.
 
-Partitioning is *streamed at the byte level* for file sources: the
-parent classifies each line (CSV) or record (binary) by its leading
-byte/tag and scatters the raw bytes into per-shard files without ever
-constructing, or re-encoding, an :class:`Event` — the parent does I/O,
-not parsing.  In-memory sources still partition event-by-event via
-:func:`partition_stream`.
+A binary (GTB1) source sharded round-robin is not partitioned at all:
+its graph frames are already kind-separated and listed in the trailing
+frame index, so shard ``k`` of ``N`` is a *frame view* of the source —
+every graph frame whose ordinal is ``k`` modulo ``N`` plus every control
+frame (:func:`repro.core.binfmt.iter_binary_batches`).  The parent reads
+the frame table to count each view and writes nothing; each worker
+reads its own frames' offsets from the index.  Round-robin balance is
+frame-granular: shards differ by at most one frame (≤256 records with
+the default writer).
+
+Every other file source is partitioned *at the byte level*: the parent
+classifies each line (CSV) or record (binary, ``shard_by="hash"``) by
+its leading byte/tag and scatters the raw bytes into per-shard files
+without ever constructing, or re-encoding, an :class:`Event` — the
+parent does I/O, not parsing.  In-memory sources still partition
+event-by-event via :func:`partition_stream`.
 
 Emission inside a worker runs in one of three modes:
 
@@ -42,6 +52,10 @@ Emission inside a worker runs in one of three modes:
   ``Transport.send_raw`` (binary frames via ``Transport.send_frame``),
   skipping the parse/format round-trip entirely.  Control events still
   steer the replay.  Raw mode does not support checkpoint resume.
+
+All three modes read a frame view through the same
+``view=(k, N)`` argument of the binary batch iterator, carried on
+:class:`WorkerConfig`, so every mode emits each graph event once.
 
 Workers synchronise on a start barrier so their pacing windows share an
 epoch, and return their :class:`ReplayReport` over a queue; the merged
@@ -168,6 +182,10 @@ class ShardPlan:
     ``graph_events`` is the per-shard graph-event count (the balance /
     skew view); ``control_events`` is the number of control events
     replicated into every shard.
+
+    With ``frame_views`` no shard file exists: every entry of ``paths``
+    is the binary source itself and shard ``k`` is the frame view
+    :meth:`view` ``(k)`` of it.
     """
 
     workers: int
@@ -175,10 +193,16 @@ class ShardPlan:
     paths: tuple[str, ...]
     graph_events: tuple[int, ...]
     control_events: int
+    frame_views: bool = False
 
     @property
     def total_graph_events(self) -> int:
         return sum(self.graph_events)
+
+    def view(self, index: int) -> tuple[int, int] | None:
+        """The ``(worker, workers)`` frame view shard ``index`` reads,
+        or ``None`` when the shard is a file of its own."""
+        return (index, self.workers) if self.frame_views else None
 
 
 def _csv_entity_shard(mapped, start: int, end: int, workers: int) -> int:
@@ -277,21 +301,42 @@ def _write_shards_csv_bytes(
     )
 
 
-def _write_shards_binary_records(
-    source: str | Path, workers: int, directory: Path, shard_by: str
+def _frame_view_plan(source: str, workers: int) -> ShardPlan:
+    """Round-robin shards of a binary source as frame views: count each
+    view from the frame table; write nothing."""
+    graph_counts = [0] * workers
+    control_events = 0
+    ordinal = 0
+    for __, count, kind in binfmt.read_frame_table(source):
+        if kind == binfmt.FRAME_GRAPH:
+            graph_counts[ordinal % workers] += count
+            ordinal += 1
+        else:
+            control_events += count
+    return ShardPlan(
+        workers=workers,
+        shard_by="round-robin",
+        paths=(source,) * workers,
+        graph_events=tuple(graph_counts),
+        control_events=control_events,
+        frame_views=True,
+    )
+
+
+def _write_shards_binary_hash(
+    source: str | Path, workers: int, directory: Path
 ) -> ShardPlan:
-    """Streamed binary partitioner: scatter raw records to shard files.
+    """Streamed binary entity-hash partitioner: scatter raw records to
+    shard files.
 
     Graph frames are walked record header to record header; each
-    record's bytes move verbatim into one shard's
+    record's bytes move verbatim into its entity's shard's
     :class:`~repro.core.binfmt.BinaryStreamWriter` (which reframes and
     indexes them).  Control events are replicated to every shard.
     """
     paths = [directory / f"shard-{index}.gtb" for index in range(workers)]
     graph_counts = [0] * workers
     control_events = 0
-    round_robin = 0
-    hash_mode = shard_by == "hash"
     # Construct the writers inside the try: each one opens a file, so a
     # failure on the k-th must still close the k-1 already open.
     writers: list[binfmt.BinaryStreamWriter] = []
@@ -310,13 +355,7 @@ def _write_shards_binary_records(
                 continue
             frame = item.data
             for start, end in binfmt.iter_frame_record_spans(frame):
-                if hash_mode:
-                    index = binfmt.record_entity_id(frame, start) % workers
-                else:
-                    index = round_robin
-                    round_robin += 1
-                    if round_robin == workers:
-                        round_robin = 0
+                index = binfmt.record_entity_id(frame, start) % workers
                 writers[index].add_record(bytes(frame[start:end]))
                 graph_counts[index] += 1
     finally:
@@ -324,7 +363,7 @@ def _write_shards_binary_records(
             writer.close()
     return ShardPlan(
         workers=workers,
-        shard_by=shard_by,
+        shard_by="hash",
         paths=tuple(str(path) for path in paths),
         graph_events=tuple(graph_counts),
         control_events=control_events,
@@ -364,30 +403,49 @@ def _write_shards_events(
     )
 
 
+def _is_frame_view_source(
+    source: GraphStream | str | Path | Iterable[Event],
+    shard_by: str,
+    stream_format: str,
+) -> bool:
+    """Whether sharding ``source`` needs no shard files: a binary file
+    sharded round-robin in its own format."""
+    return (
+        isinstance(source, (str, Path))
+        and shard_by == "round-robin"
+        and stream_format in ("auto", "binary")
+        and codec.detect_stream_format(source) == "binary"
+    )
+
+
 def write_shards(
     source: GraphStream | str | Path | Iterable[Event],
     workers: int,
-    directory: str | Path,
+    directory: str | Path | None,
     shard_by: str = "round-robin",
     trusted_parse: bool = True,
     stream_format: str = "auto",
 ) -> ShardPlan:
-    """Partition ``source`` and write one stream file per shard.
+    """Partition ``source`` into ``workers`` shards.
 
     ``source`` may be a stream file path (CSV or binary, autodetected),
-    a :class:`GraphStream`, or any iterable of events.  Shard files are
-    written as ``shard-<i>.csv`` / ``shard-<i>.gtb`` under
-    ``directory`` (created if missing).  ``stream_format`` selects the
-    shard file format: ``"auto"`` keeps a file source's own format
-    (CSV for in-memory sources), ``"csv"`` / ``"binary"`` force one.
+    a :class:`GraphStream`, or any iterable of events.  ``stream_format``
+    selects the shard format: ``"auto"`` keeps a file source's own
+    format (CSV for in-memory sources), ``"csv"`` / ``"binary"`` force
+    one.
 
-    Trusted file sources in their own format take the streamed
-    byte-level path: raw lines/records are scattered to shard files
-    without the parent ever parsing or re-encoding an event.
-    ``trusted_parse=False`` (or a cross-format request) falls back to
-    the validating event-level partitioner.  Empty shards — a stream
-    shorter than the worker count — produce empty (or frame-less)
-    files, which replay to empty reports.
+    A binary file sharded round-robin in its own format gets a
+    frame-view plan (:attr:`ShardPlan.frame_views`): nothing is written
+    and ``directory`` is not used (it may be ``None``).  Every other
+    source is written as ``shard-<i>.csv`` / ``shard-<i>.gtb`` files
+    under ``directory`` (created if missing).  Trusted file sources in
+    their own format take the streamed byte-level path: raw
+    lines/records are scattered to shard files without the parent ever
+    parsing or re-encoding an event.  ``trusted_parse=False`` (or a
+    cross-format request) falls back to the validating event-level
+    partitioner.  Empty shards — a stream shorter than the worker count
+    — produce empty (or frame-less) files or views, which replay to
+    empty reports.
     """
     if workers <= 0:
         raise ValueError(f"workers must be positive, got {workers}")
@@ -400,6 +458,10 @@ def write_shards(
             f"unknown stream_format {stream_format!r}; "
             "expected 'auto', 'csv' or 'binary'"
         )
+    if _is_frame_view_source(source, shard_by, stream_format):
+        return _frame_view_plan(str(source), workers)
+    if directory is None:
+        raise ValueError("this plan writes shard files: give a directory")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     if isinstance(source, (str, Path)):
@@ -409,9 +471,7 @@ def write_shards(
         )
         if target_format == source_format:
             if source_format == "binary":
-                return _write_shards_binary_records(
-                    source, workers, directory, shard_by
-                )
+                return _write_shards_binary_hash(source, workers, directory)
             if trusted_parse:
                 return _write_shards_csv_bytes(
                     source, workers, directory, shard_by
@@ -450,6 +510,9 @@ class WorkerConfig:
     #: force one.  Raw/decode emission moves shard bytes verbatim, so
     #: there the wire format *is* the shard format.
     wire_format: str = "auto"
+    #: ``(worker, workers)`` frame view of a binary ``path``, or
+    #: ``None`` when ``path`` is the whole shard.
+    view: tuple[int, int] | None = None
     window_seconds: float = 1.0
     batch_size: int = 64
     read_chunk: int = 1024
@@ -500,19 +563,21 @@ def _replay_stream(
     header, payload materialisation deferred to consumers — while CSV
     shards need the full trusted bulk parse just to delimit and count
     their records.  That asymmetry is the point of the length-prefixed
-    format.
+    format.  A frame view (``config.view``) is always verified up
+    front, its own frames only, so N workers verify each graph frame
+    once.
     """
     binary = codec.detect_stream_format(config.path) == "binary"
     emit = transport.send_frame if binary else transport.send_raw
     if not decode:
         count_batch = None
     elif binary:
-        # One bulk witness verification up front replaces the per-frame
-        # record walk when the shard carries a sidecar (see
-        # repro.core.witness); corruption raises here, before any
-        # emission.  No sidecar, stale sidecar, or no numpy: fall back
-        # to walking every frame.
-        if witness.preverify_shard(config.path) is not None:
+        # One bulk verification up front replaces the per-frame record
+        # walk when the shard carries a sidecar (see repro.core.witness)
+        # or is a frame view; corruption raises here, before any
+        # emission.  A whole-file shard without a usable sidecar falls
+        # back to walking every frame in the loop.
+        if witness.preverify_shard(config.path, view=config.view) is not None:
             count_batch = witness.count_verified_frame
         else:
             count_batch = binfmt.scan_frame
@@ -542,7 +607,7 @@ def _replay_stream(
     failure: BaseException | None = None
     try:
         for item in codec.iter_raw_batches(
-            config.path, batch_lines=config.batch_lines
+            config.path, batch_lines=config.batch_lines, view=config.view
         ):
             if isinstance(item, codec.RawBatch):
                 if count_batch is None:
@@ -629,6 +694,7 @@ def replay_shard(config: WorkerConfig, transport: Transport) -> ReplayReport:
         wire_format=wire_format,
         max_resumes=config.max_resumes,
         resume_delay=config.resume_delay,
+        view=config.view,
         transport_factory=(
             config.build_transport
             if config.max_resumes and config.transport_spec is not None
@@ -642,17 +708,22 @@ def _worker_main(config: WorkerConfig, barrier, results) -> None:
     """Worker process entry point: build, sync, replay, report.
 
     The transport is built *before* the barrier so no worker starts
-    pacing until every worker is connected; a failure anywhere aborts
-    the barrier, releasing the siblings and the parent immediately.
+    pacing until every worker is connected; a failure before the
+    barrier aborts it, releasing the siblings and the parent
+    immediately.  A failure after it must not: siblings that have not
+    yet woken from the same barrier would see it broken and fail too.
     """
     transport: Transport | None = None
+    started = False
     try:
         transport = config.build_transport()
         barrier.wait(timeout=_START_TIMEOUT)
+        started = True
         report = replay_shard(config, transport)
         results.put((config.index, report, None))
     except BaseException as exc:
-        barrier.abort()
+        if not started:
+            barrier.abort()
         if transport is not None:
             try:
                 transport.close()
@@ -779,9 +850,11 @@ class ShardedReplayer:
     ``start_method`` selects the :mod:`multiprocessing` context
     (``None`` = platform default, ``"spawn"``/``"fork"``/... where
     supported); every cross-process value is picklable, so spawn works
-    on platforms without fork.  Shard files are written under
-    ``shard_dir`` when given (kept afterwards, inspectable) or a
-    temporary directory (removed after the run).
+    on platforms without fork.  A binary source sharded round-robin is
+    read as frame views and needs no shard files (``shard_dir`` is then
+    unused); other shard files are written under ``shard_dir`` when
+    given (kept afterwards, inspectable) or a temporary directory
+    (removed after the run).
     """
 
     def __init__(
@@ -865,7 +938,9 @@ class ShardedReplayer:
         #: The shard layout of the last run (set by :meth:`run`).
         self.plan: ShardPlan | None = None
 
-    def _worker_config(self, index: int, path: str) -> WorkerConfig:
+    def _worker_config(
+        self, index: int, path: str, view: tuple[int, int] | None = None
+    ) -> WorkerConfig:
         return WorkerConfig(
             index=index,
             path=path,
@@ -874,6 +949,7 @@ class ShardedReplayer:
             wire_format=(
                 "auto" if self._stream_format == "auto" else self._stream_format
             ),
+            view=view,
             window_seconds=self._window_seconds,
             batch_size=self._batch_size,
             read_chunk=self._read_chunk,
@@ -897,13 +973,18 @@ class ShardedReplayer:
         """
         if self._workers == 1:
             return self._run_single()
-        if self._shard_dir is not None:
-            directory = Path(self._shard_dir)
-            directory.mkdir(parents=True, exist_ok=True)
-            cleanup = False
-        else:
-            directory = Path(tempfile.mkdtemp(prefix="graphtides-shards-"))
-            cleanup = True
+        # Frame views write no shard files, so they get no directory.
+        directory: Path | None = None
+        cleanup = False
+        if not _is_frame_view_source(
+            self._source, self._shard_by, self._stream_format
+        ):
+            if self._shard_dir is not None:
+                directory = Path(self._shard_dir)
+                directory.mkdir(parents=True, exist_ok=True)
+            else:
+                directory = Path(tempfile.mkdtemp(prefix="graphtides-shards-"))
+                cleanup = True
         try:
             self.plan = write_shards(
                 self._source,
@@ -915,7 +996,7 @@ class ShardedReplayer:
             )
             shards = self._run_workers(self.plan)
         finally:
-            if cleanup:
+            if cleanup and directory is not None:
                 shutil.rmtree(directory, ignore_errors=True)
         return _as_sharded(merge_replay_reports(shards), shards)
 
@@ -960,7 +1041,11 @@ class ShardedReplayer:
         for index, path in enumerate(plan.paths):
             process = context.Process(
                 target=_worker_main,
-                args=(self._worker_config(index, path), barrier, results),
+                args=(
+                    self._worker_config(index, path, plan.view(index)),
+                    barrier,
+                    results,
+                ),
                 name=f"graphtides-shard-{index}",
                 daemon=True,
             )

@@ -25,6 +25,10 @@ off the hot path without weakening it:
   the (now proven) frame header via
   :func:`~repro.core.binfmt.frame_info` — constant work per batch.
 
+A round-robin shard of a GTB1 source is a *frame view* of the source
+file rather than a file of its own (see :mod:`repro.core.sharding`);
+it is verified against the source's sidecar, its own frames only.
+
 The witness is an *accelerator*, never a requirement: a missing
 sidecar, a sidecar whose recorded file size disagrees (stale — the
 stream was rewritten), or a machine without numpy all fall back to the
@@ -178,7 +182,13 @@ def _first_bad(ok) -> int:
     return int(_np.nonzero(~ok)[0][0])
 
 
-def verify_stream(buffer, wit: Witness, *, path: str = "") -> tuple[int, int]:
+def verify_stream(
+    buffer,
+    wit: Witness,
+    *,
+    path: str = "",
+    view: tuple[int, int] | None = None,
+) -> tuple[int, int]:
     """Bulk-verify a binary stream's bytes against its witness.
 
     ``buffer`` is the whole file (mmap or bytes).  Returns
@@ -187,6 +197,12 @@ def verify_stream(buffer, wit: Witness, *, path: str = "") -> tuple[int, int]:
     expected bytes and the file — raises
     :class:`~repro.errors.StreamFormatError` with the first offending
     byte offset.
+
+    ``view=(worker, workers)`` compares the file's bytes only for that
+    frame view's frames (its graph frames and every control frame; see
+    :func:`repro.core.binfmt.iter_binary_batches`), so N workers
+    together check each graph frame once.  The witness tables are still
+    checked whole: that is arithmetic, not file reads.
     """
     from repro.core import binfmt
 
@@ -258,14 +274,35 @@ def verify_stream(buffer, wit: Witness, *, path: str = "") -> tuple[int, int]:
         )
     if n_frames == 0:
         return 0, 0
+    # Record start offsets: each frame's records tile its body.
+    global_cs = np.concatenate((np.zeros(1, np.int64), np.cumsum(strides)[:-1]))
+    starts = np.repeat(frame_offs + binfmt.FRAME_HEADER_SIZE, counts) + (
+        global_cs - np.repeat(global_cs[frame_first], counts)
+    )
+    if view is None:
+        frame_ids = np.arange(n_frames)
+        record_ids = np.arange(n_records)
+    else:
+        binfmt.check_view(view)
+        worker, workers = view
+        graph = kinds == binfmt.FRAME_GRAPH
+        mine = ~graph | ((np.cumsum(graph) - 1) % workers == worker)
+        frame_ids = np.nonzero(mine)[0]
+        record_ids = np.nonzero(np.repeat(mine, counts))[0]
+        counts = counts[frame_ids]
+        bodies = bodies[frame_ids]
+        kinds = kinds[frame_ids]
+        rec_lens = rec_lens[record_ids]
+        starts = starts[record_ids]
     data = np.frombuffer(buffer, np.uint8, total)
-    fo = frame_offs
+    fo = frame_offs[frame_ids]
     ok = (data[fo] == kinds) & (kinds <= binfmt.FRAME_CONTROL)
     if not ok.all():
         bad = _first_bad(ok)
         raise StreamFormatError(
-            f"{label}: frame {bad} kind byte {int(data[fo[bad]])} "
-            f"disagrees with witness kind {int(kinds[bad])}",
+            f"{label}: frame {int(frame_ids[bad])} kind byte "
+            f"{int(data[fo[bad]])} disagrees with witness kind "
+            f"{int(kinds[bad])}",
             byte_offset=int(fo[bad]),
         )
     file_counts = (
@@ -278,8 +315,9 @@ def verify_stream(buffer, wit: Witness, *, path: str = "") -> tuple[int, int]:
     if not ok.all():
         bad = _first_bad(ok)
         raise StreamFormatError(
-            f"{label}: frame {bad} header promises {int(file_counts[bad])} "
-            f"record(s), witness recorded {int(counts[bad])}",
+            f"{label}: frame {int(frame_ids[bad])} header promises "
+            f"{int(file_counts[bad])} record(s), witness recorded "
+            f"{int(counts[bad])}",
             byte_offset=int(fo[bad]) + 1,
         )
     file_bodies = (
@@ -292,15 +330,11 @@ def verify_stream(buffer, wit: Witness, *, path: str = "") -> tuple[int, int]:
     if not ok.all():
         bad = _first_bad(ok)
         raise StreamFormatError(
-            f"{label}: frame {bad} header claims a {int(file_bodies[bad])}"
-            f"-byte body, witness recorded {int(bodies[bad])}",
+            f"{label}: frame {int(frame_ids[bad])} header claims a "
+            f"{int(file_bodies[bad])}-byte body, witness recorded "
+            f"{int(bodies[bad])}",
             byte_offset=int(fo[bad]) + 5,
         )
-    # Record start offsets: each frame's records tile its body.
-    global_cs = np.concatenate((np.zeros(1, np.int64), np.cumsum(strides)[:-1]))
-    starts = np.repeat(fo + binfmt.FRAME_HEADER_SIZE, counts) + (
-        global_cs - np.repeat(global_cs[frame_first], counts)
-    )
     tags = data[starts]
     tag_ok = np.zeros(256, np.bool_)
     tag_ok[list(binfmt._KNOWN_TAGS)] = True
@@ -308,7 +342,8 @@ def verify_stream(buffer, wit: Witness, *, path: str = "") -> tuple[int, int]:
     if not ok.all():
         bad = _first_bad(ok)
         raise StreamFormatError(
-            f"{label}: record {bad} carries unknown tag {int(tags[bad])}",
+            f"{label}: record {int(record_ids[bad])} carries unknown tag "
+            f"{int(tags[bad])}",
             byte_offset=int(starts[bad]),
         )
     file_lens = (
@@ -321,14 +356,17 @@ def verify_stream(buffer, wit: Witness, *, path: str = "") -> tuple[int, int]:
     if not ok.all():
         bad = _first_bad(ok)
         raise StreamFormatError(
-            f"{label}: record {bad} length prefix {int(file_lens[bad])} "
-            f"disagrees with witness length {int(rec_lens[bad])}",
+            f"{label}: record {int(record_ids[bad])} length prefix "
+            f"{int(file_lens[bad])} disagrees with witness length "
+            f"{int(rec_lens[bad])}",
             byte_offset=int(starts[bad]) + 1,
         )
-    return n_frames, n_records
+    return len(frame_ids), len(record_ids)
 
 
-def preverify_shard(path: str | Path) -> "tuple[int, int] | None":
+def preverify_shard(
+    path: str | Path, view: tuple[int, int] | None = None
+) -> "tuple[int, int] | None":
     """Verify a shard against its sidecar once, before replay.
 
     Returns ``(frames, records)`` when the shard is proven well-formed,
@@ -338,7 +376,118 @@ def preverify_shard(path: str | Path) -> "tuple[int, int] | None":
     the witness).  Raises :class:`~repro.errors.StreamFormatError` when
     the sidecar matches the file's size but not its bytes: that is
     corruption, not staleness.
+
+    With ``view=(worker, workers)`` the shard is that frame view of
+    ``path`` and only its frames are verified.  A view is always
+    proven here: where the sidecar cannot be used, its frames get the
+    record walk instead (numpy lockstep, or
+    :func:`~repro.core.binfmt.scan_view` without numpy), so the replay
+    loop afterwards only reads frame headers.
     """
+    from repro.core import binfmt
+
+    proof = _verify_with_sidecar(path, view)
+    if proof is None and view is not None:
+        proof = _walk_view_vector(path, view)
+        if proof is None:
+            return binfmt.scan_view(path, view)
+    return proof
+
+
+#: Below this many unfinished frames the lockstep walk hands the rest
+#: to ``scan_frame``: a numpy step costs the same for 8 frames as for
+#: 800, so a few long frames must not drive the loop.
+_LOCKSTEP_MIN_FRAMES = 8
+
+
+def _walk_view_vector(
+    path: str | Path, view: tuple[int, int]
+) -> "tuple[int, int] | None":
+    """:func:`~repro.core.binfmt.scan_view` with numpy: the record walk
+    of all the view's graph frames in lockstep, one numpy step per
+    record position instead of one interpreter step per record.
+
+    It checks what ``scan_frame`` checks — every tag known, every length
+    prefix inside its frame, each frame's records tiling its body and
+    matching the header count — and decodes each control frame.
+    Returns ``None`` without numpy, and on the first disagreement, so
+    the caller's ``scan_view`` reports it with its exact byte offset.
+    """
+    if _np is None:
+        return None
+    from repro.core import binfmt
+
+    np = _np
+    header_size = binfmt.RECORD_HEADER_SIZE
+    mapped = binfmt._open_binary_view(path)
+    data = lengths = None
+    try:
+        graph: list[tuple[int, int, int]] = []
+        frames = 0
+        for offset, kind, count, end in binfmt._frames(mapped, view):
+            frames += 1
+            if kind == binfmt.FRAME_GRAPH:
+                graph.append((offset + binfmt.FRAME_HEADER_SIZE, count, end))
+            else:
+                binfmt.decode_event(mapped, offset + binfmt.FRAME_HEADER_SIZE)
+        controls = frames - len(graph)
+        if not graph:
+            return frames, controls
+        table = np.array(graph, np.int64)
+        counts = table[:, 1]
+        empty = table[:, 0] == table[:, 2]
+        if (counts[empty] != 0).any():
+            return None
+        # Compact arrays of the frames still being walked: next record
+        # position, frame end, frame number.
+        position = table[~empty, 0]
+        ends = table[~empty, 2]
+        frame = np.nonzero(~empty)[0]
+        data = np.frombuffer(mapped, np.uint8)
+        # Every byte offset read as a little-endian u32 (unaligned and
+        # overlapping): one gather reads each frame's next length prefix.
+        lengths = np.ndarray(
+            (len(data) - 3,), dtype="<u4", buffer=mapped, strides=(1,)
+        )
+        tag_ok = np.zeros(256, np.bool_)
+        tag_ok[list(binfmt._KNOWN_TAGS)] = True
+        records = 0
+        step = 0
+        while frame.size >= _LOCKSTEP_MIN_FRAMES:
+            if (position + header_size > ends).any():
+                return None
+            if not tag_ok[data[position]].all():
+                return None
+            position += header_size + lengths[position + 1].astype(np.int64)
+            step += 1
+            done = position >= ends
+            if done.any():
+                # Every frame took one record per step, so a frame that
+                # ends now holds ``step`` records.
+                if (position[done] != ends[done]).any() or (
+                    counts[frame[done]] != step
+                ).any():
+                    return None
+                records += step * int(done.sum())
+                keep = ~done
+                position, ends, frame = position[keep], ends[keep], frame[keep]
+        for index in frame.tolist():
+            start = graph[index][0] - binfmt.FRAME_HEADER_SIZE
+            records += binfmt.scan_frame(mapped[start : graph[index][2]])
+        return frames, records + controls
+    except StreamFormatError:
+        return None
+    finally:
+        del data, lengths
+        try:
+            mapped.close()
+        except BufferError:
+            pass
+
+
+def _verify_with_sidecar(
+    path: str | Path, view: tuple[int, int] | None
+) -> "tuple[int, int] | None":
     if _np is None:
         return None
     wit = load_witness(witness_path(path))
@@ -355,7 +504,7 @@ def preverify_shard(path: str | Path) -> "tuple[int, int] | None":
 
     mapped = binfmt._open_binary_view(path)
     try:
-        return verify_stream(mapped, wit, path=str(path))
+        return verify_stream(mapped, wit, path=str(path), view=view)
     finally:
         try:
             mapped.close()

@@ -11,6 +11,10 @@ Stages (each a real framework entry point, not a model of one):
                     ``shard_by="hash"`` (the streamed byte-level
                     partitioner); the resulting :class:`ShardPlan`'s
                     graph-event balance feeds the skew cliff oracle.
+                    Binary candidates are also read as round-robin
+                    frame views: the views' graph events must add up
+                    to the source's multiset, and every view must hold
+                    each control event exactly once, in order.
 4. ``platform``   — a simulated-time :class:`TestHarness` run into a
                     real platform; the sampled ``backlog`` series feeds
                     the backlog-blowup cliff oracle against a
@@ -33,7 +37,9 @@ Oracle verdicts (:class:`Verdict.status`):
                    response to malformed input; not a finding).
 * ``crash``      — an *untyped* exception escaped a stage.
 * ``hang``       — the deadline elapsed.
-* ``divergence`` — the format round trip changed the event list.
+* ``divergence`` — the format round trip changed the event list, or
+                   the frame views of a binary input do not add up to
+                   it.
 * ``loss``       — the resilient replay delivered fewer lines than the
                    straight replay.
 * ``cliff``      — shard imbalance or backlog blowup beyond the
@@ -42,6 +48,7 @@ Oracle verdicts (:class:`Verdict.status`):
 
 from __future__ import annotations
 
+import collections
 import tempfile
 import threading
 from dataclasses import dataclass, field
@@ -49,7 +56,14 @@ from pathlib import Path
 
 from repro.core import codec
 from repro.core.connectors import CallbackTransport
-from repro.core.events import Event, PauseEvent, SpeedEvent, pause, speed
+from repro.core.events import (
+    Event,
+    GraphEvent,
+    PauseEvent,
+    SpeedEvent,
+    pause,
+    speed,
+)
 from repro.core.harness import HarnessConfig, TestHarness
 from repro.core.replayer import LiveReplayer
 from repro.core.resilience import (
@@ -210,9 +224,10 @@ def _stage_roundtrip(
 
 
 def _stage_shard(
-    path: Path, config: EvaluatorConfig, tmp: Path
+    path: Path, events: list[Event], config: EvaluatorConfig, tmp: Path
 ) -> Verdict | None:
-    """Streamed byte-level partitioning; imbalance is the skew cliff."""
+    """Streamed byte-level partitioning; imbalance is the skew cliff.
+    Binary inputs are also checked as round-robin frame views."""
     shard_dir = tmp / "shards"
     plan = write_shards(
         path, config.workers, shard_dir, shard_by="hash"
@@ -230,6 +245,60 @@ def _stage_shard(
                 f"(shards {list(plan.graph_events)})",
                 kind="shard-imbalance",
             )
+    if codec.detect_stream_format(path) == "binary":
+        return _check_frame_views(path, events, config.workers)
+    return None
+
+
+def _check_frame_views(
+    path: Path, events: list[Event], workers: int
+) -> Verdict | None:
+    """The frame-view oracle: the union of the round-robin views is the
+    source's graph-event multiset, and each view holds every control
+    event exactly once, in stream order."""
+    plan = write_shards(path, workers, None)
+    controls = [event for event in events if not isinstance(event, GraphEvent)]
+    union: collections.Counter[Event] = collections.Counter()
+    for index in range(workers):
+        view_events = [
+            event
+            for chunk in codec.iter_parse_chunks(path, view=plan.view(index))
+            for event in chunk
+        ]
+        graph = [event for event in view_events if isinstance(event, GraphEvent)]
+        union.update(graph)
+        view_controls = [
+            event for event in view_events if not isinstance(event, GraphEvent)
+        ]
+        if view_controls != controls:
+            return Verdict(
+                "divergence",
+                "shard",
+                f"frame view {index} of {workers}: "
+                + _first_difference(controls, view_controls),
+                kind="frame-view-controls",
+            )
+        if len(graph) != plan.graph_events[index]:
+            return Verdict(
+                "divergence",
+                "shard",
+                f"frame view {index} of {workers} holds {len(graph)} graph "
+                f"event(s), its plan counts {plan.graph_events[index]}",
+                kind="frame-view-count",
+            )
+    expected = collections.Counter(
+        event for event in events if isinstance(event, GraphEvent)
+    )
+    if union != expected:
+        missing = sum((expected - union).values())
+        extra = sum((union - expected).values())
+        return Verdict(
+            "divergence",
+            "shard",
+            f"{workers} frame views miss {missing} and add {extra} graph "
+            f"event(s) against the source",
+            kind="frame-view-union",
+        )
     return None
 
 
@@ -432,7 +501,7 @@ def _run_pipeline(
         return verdict
 
     progress.enter("shard")
-    verdict = _stage_shard(path, config, tmp)
+    verdict = _stage_shard(path, events, config, tmp)
     if verdict is not None:
         return verdict
 

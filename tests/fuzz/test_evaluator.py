@@ -125,3 +125,57 @@ def test_verdict_signature_shape():
 def test_evaluator_config_round_trips_through_dict(config):
     restored = EvaluatorConfig.from_dict(config.as_dict())
     assert restored == config
+
+
+def _binary(base):
+    return Workload("binary", events_to_bytes(bytes_to_events(base), "binary"))
+
+
+def test_clean_binary_passes_frame_view_oracle(base, config, baseline):
+    verdict = evaluate(_binary(base), config, baseline)
+    assert verdict.status == "ok", verdict
+
+
+def _patched_views(monkeypatch, drop):
+    """Make ``binfmt``'s frame views drop the frames ``drop`` selects."""
+    from repro.core import binfmt
+
+    real = binfmt._view_frames
+
+    def lossy(mapped, end, view):
+        for number, frame in enumerate(real(mapped, end, view)):
+            if not drop(view, number, frame):
+                yield frame
+
+    monkeypatch.setattr(binfmt, "_view_frames", lossy)
+
+
+def test_frame_view_oracle_catches_a_lost_graph_frame(
+    base, config, baseline, monkeypatch
+):
+    from repro.core import binfmt
+
+    _patched_views(
+        monkeypatch,
+        lambda view, number, frame: view[0] == 0
+        and frame[1] == binfmt.FRAME_GRAPH,
+    )
+    verdict = evaluate(_binary(base), config, baseline)
+    assert verdict.status == "divergence", verdict
+    assert verdict.stage == "shard"
+    assert verdict.kind.startswith("frame-view-")
+
+
+def test_frame_view_oracle_catches_a_lost_control_frame(
+    base, config, baseline, monkeypatch
+):
+    from repro.core import binfmt
+
+    _patched_views(
+        monkeypatch,
+        lambda view, number, frame: view[0] == 1
+        and frame[1] == binfmt.FRAME_CONTROL,
+    )
+    verdict = evaluate(_binary(base), config, baseline)
+    assert verdict.status == "divergence", verdict
+    assert verdict.kind == "frame-view-controls"
