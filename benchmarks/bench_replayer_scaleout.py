@@ -64,7 +64,7 @@ from bench_codec_throughput import (  # noqa: E402
     write_snapshot,
 )
 
-from repro.core import binfmt, codec, witness  # noqa: E402
+from repro.core import binfmt, codec  # noqa: E402
 from repro.core.connectors import (  # noqa: E402
     PipeReceiver,
     PipeSpec,
@@ -288,15 +288,7 @@ def run_suite(
         "binary": tmp_dir / "bench_scaleout_stream.gtb",
     }
     codec.write_stream_file(paths["csv"], events)
-    # The witness sidecar lets decode workers (and the 1-worker
-    # in-place replay) verify the stream in one vectorized pass instead
-    # of walking every frame — shard files get their own sidecars from
-    # the partitioner.
-    binfmt.write_binary_stream(
-        paths["binary"],
-        events,
-        witness_path=witness.witness_path(paths["binary"]),
-    )
+    binfmt.write_binary_stream(paths["binary"], events)
     path_strs = {fmt: str(path) for fmt, path in paths.items()}
     try:
         saturation = bench_saturation(path_strs, worker_counts, repeats)
@@ -307,7 +299,6 @@ def run_suite(
     finally:
         for path in paths.values():
             path.unlink(missing_ok=True)
-            witness.witness_path(path).unlink(missing_ok=True)
 
     most = str(worker_counts[-1])
     # Transport headline at ONE worker: a single producer/consumer pair

@@ -521,7 +521,8 @@ def scan_frame(frame: bytes | memoryview) -> int:
     if seen != count:
         raise StreamFormatError(
             f"binary frame header promises {count} record(s), body holds "
-            f"{seen}"
+            f"{seen}",
+            byte_offset=1,  # the header's count field
         )
     return seen
 
@@ -543,19 +544,12 @@ class BinaryStreamWriter:
 
     Usable as a context manager; :meth:`close` writes the trailing
     frame index.  ``events_written`` counts every record framed so far.
-
-    With ``witness_path`` the writer also records a structural witness
-    sidecar (per-frame kind/count/body, per-record body length — see
-    :mod:`repro.core.witness`): the facts it already computes while
-    framing, captured so a decode-mode replay can bulk-verify the file
-    instead of re-walking every record header.
     """
 
     def __init__(
         self,
         target: str | Path | BinaryIO,
         batch_records: int = 256,
-        witness_path: str | Path | None = None,
     ):
         if batch_records <= 0:
             raise ValueError(
@@ -569,20 +563,14 @@ class BinaryStreamWriter:
             self._owns = False
         self._batch_records = batch_records
         self._pending: list[bytes] = []
-        self._pending_bytes = 0
         self._index: list[tuple[int, int, int]] = []
         self._offset = len(MAGIC)
         self._closed = False
         self.events_written = 0
-        self._witness_path = witness_path
-        self._frame_bodies: list[int] = []
-        self._record_lens: list[int] = []
         self._file.write(MAGIC)
 
     def _write_frame(self, frame: bytes, count: int, kind: int) -> None:
         self._index.append((self._offset, count, kind))
-        if self._witness_path is not None:
-            self._frame_bodies.append(len(frame) - FRAME_HEADER_SIZE)
         self._file.write(frame)
         self._offset += len(frame)
         self.events_written += count
@@ -597,7 +585,6 @@ class BinaryStreamWriter:
         )
         self._write_frame(frame, len(records), FRAME_GRAPH)
         self._pending = []
-        self._pending_bytes = 0
 
     def add(self, event: Event) -> None:
         """Append one event (graph events batch; control events frame)."""
@@ -605,19 +592,11 @@ class BinaryStreamWriter:
             self.add_record(_encode_graph(event))
         else:
             self._flush_pending()
-            frame = encode_control_frame(event)
-            if self._witness_path is not None:
-                self._record_lens.append(
-                    len(frame) - FRAME_HEADER_SIZE - RECORD_HEADER_SIZE
-                )
-            self._write_frame(frame, 1, FRAME_CONTROL)
+            self._write_frame(encode_control_frame(event), 1, FRAME_CONTROL)
 
     def add_record(self, record: bytes) -> None:
         """Append an already-encoded graph record verbatim."""
         self._pending.append(record)
-        self._pending_bytes += len(record)
-        if self._witness_path is not None:
-            self._record_lens.append(len(record) - RECORD_HEADER_SIZE)
         if len(self._pending) >= self._batch_records:
             self._flush_pending()
 
@@ -638,23 +617,10 @@ class BinaryStreamWriter:
         )
         parts.append(_INDEX_OFFSET.pack(self._offset))
         parts.append(END_MAGIC)
-        trailer = b"".join(parts)
-        self._file.write(trailer)
+        self._file.write(b"".join(parts))
         self._file.flush()
         if self._owns:
             self._file.close()
-        if self._witness_path is not None:
-            from repro.core import witness
-
-            Path(self._witness_path).write_bytes(
-                witness.dump_witness(
-                    [count for __, count, __ in self._index],
-                    self._frame_bodies,
-                    bytes(kind for __, __, kind in self._index),
-                    self._record_lens,
-                    self._offset + len(trailer),
-                )
-            )
 
     def __enter__(self) -> "BinaryStreamWriter":
         return self
@@ -668,18 +634,13 @@ def write_binary_stream(
     events: Iterable[Event],
     *,
     batch_records: int = 256,
-    witness_path: "str | Path | None" = None,
 ) -> int:
     """Write events to a binary stream file; returns the event count.
 
     Works with lazy iterables, so arbitrarily long generators stream to
-    disk without materialising.  ``witness_path`` records the
-    :mod:`repro.core.witness` structural sidecar alongside, letting
-    replayers skip the per-frame integrity scan.
+    disk without materialising.
     """
-    writer = BinaryStreamWriter(
-        path, batch_records=batch_records, witness_path=witness_path
-    )
+    writer = BinaryStreamWriter(path, batch_records=batch_records)
     with writer:
         writer.extend(events)
     # Read after close(): the final partial graph frame flushes there.
@@ -933,9 +894,11 @@ def iter_binary_batches(
             pass
 
 
-def scan_view(path: str | Path, view: tuple[int, int]) -> tuple[int, int]:
-    """Validate every frame of one frame view of a file and return
-    ``(frames, records)``.
+def scan_view(
+    path: str | Path, view: tuple[int, int] | None = None
+) -> tuple[int, int]:
+    """Validate every frame of a file, or of one frame view of it, and
+    return ``(frames, records)``.
 
     Graph frames get the :func:`scan_frame` record walk and control
     frames a full decode.  A malformed frame raises

@@ -40,12 +40,15 @@ Emission inside a worker runs in one of three modes:
 
 * ``"events"`` — the existing :class:`LiveReplayer` (parse → pace →
   format → send), byte-for-byte the single-process behaviour;
-* ``"decode"`` — decode-in-worker: each worker decodes its shard's
-  batches into :class:`Event` objects locally (the per-event work the
-  parent used to do for every shard) and emits the stored batch bytes
-  verbatim — zero re-encode.  With binary shards the decode is a cheap
-  struct walk; with CSV shards it is the trusted bulk parse.  Control
-  events steer the replay as usual.  No checkpoint resume.
+* ``"decode"`` — decode-in-worker: each worker validates and counts
+  its shard's records locally (the per-event work the parent used to do
+  for every shard) and emits the stored batch bytes verbatim — zero
+  re-encode.  Every binary shard — frame view, hash shard file or the
+  whole file of a 1-worker replay — is proven well-formed once, before
+  its timed loop, by :func:`repro.core.witness.preverify_shard`; the
+  loop then reads each frame's count from its header.  CSV shards get
+  the trusted bulk parse of every batch.  Control events steer the
+  replay as usual.  No checkpoint resume.
 * ``"raw"`` — a zero-copy loop over
   :func:`repro.core.codec.iter_raw_batches`: graph-line runs are sent
   as :class:`memoryview` slices of the shard file's mmap via
@@ -342,11 +345,7 @@ def _write_shards_binary_hash(
     writers: list[binfmt.BinaryStreamWriter] = []
     try:
         for path in paths:
-            writers.append(
-                binfmt.BinaryStreamWriter(
-                    path, witness_path=witness.witness_path(path)
-                )
-            )
+            writers.append(binfmt.BinaryStreamWriter(path))
         for item in binfmt.iter_binary_batches(source):
             if isinstance(item, Event):
                 control_events += 1
@@ -539,6 +538,29 @@ class WorkerConfig:
         )
 
 
+def _csv_batch_counter(path: str):
+    """Decode-mode counter for CSV line runs: the trusted bulk parse."""
+    parse_lines = codec.parse_lines
+
+    def count_batch(data) -> int:
+        try:
+            text = str(data, "utf-8")
+        except UnicodeDecodeError as exc:
+            # Every earlier byte of the file is already decoded (control
+            # lines by the batch iterator, graph lines by earlier
+            # batches), so the file's first invalid byte is in this run.
+            raise StreamFormatError(
+                f"{path}: graph line is not valid UTF-8 ({exc.reason})",
+                byte_offset=codec._utf8_error_offset(path),
+            ) from None
+        lines = text.split("\n")
+        if lines and not lines[-1]:
+            lines.pop()
+        return len(parse_lines(lines, trusted=True, skip_comments=True))
+
+    return count_batch
+
+
 def _replay_stream(
     config: WorkerConfig, transport: Transport, decode: bool
 ) -> ReplayReport:
@@ -558,38 +580,18 @@ def _replay_stream(
     decodes each batch locally before emitting it: the per-event work
     the parent-side partitioner no longer does, now paid inside the
     worker where it scales with ``--workers``.  For binary shards that
-    is a :func:`~repro.core.binfmt.scan_frame` record walk — every
-    record header and tag validated, counts proven against the frame
-    header, payload materialisation deferred to consumers — while CSV
-    shards need the full trusted bulk parse just to delimit and count
-    their records.  That asymmetry is the point of the length-prefixed
-    format.  A frame view (``config.view``) is always verified up
-    front, its own frames only, so N workers verify each graph frame
-    once.
+    is one up-front proof of the whole shard
+    (:func:`repro.core.witness.preverify_shard`: every record header
+    and tag validated, counts proven against the frame headers, payload
+    materialisation deferred to consumers), after which the loop reads
+    each batch's count from its frame header.  CSV shards need the full
+    trusted bulk parse of every batch just to delimit and count its
+    records.  That asymmetry is the point of the length-prefixed
+    format.  A frame view (``config.view``) proves its own frames only,
+    so N workers verify each graph frame once.  A shard that fails its
+    proof raises before anything is emitted, and the transport is
+    closed on every path.
     """
-    binary = codec.detect_stream_format(config.path) == "binary"
-    emit = transport.send_frame if binary else transport.send_raw
-    if not decode:
-        count_batch = None
-    elif binary:
-        # One bulk verification up front replaces the per-frame record
-        # walk when the shard carries a sidecar (see repro.core.witness)
-        # or is a frame view; corruption raises here, before any
-        # emission.  A whole-file shard without a usable sidecar falls
-        # back to walking every frame in the loop.
-        if witness.preverify_shard(config.path, view=config.view) is not None:
-            count_batch = witness.count_verified_frame
-        else:
-            count_batch = binfmt.scan_frame
-    else:
-        parse_lines = codec.parse_lines
-
-        def count_batch(data) -> int:
-            lines = str(data, "utf-8").split("\n")
-            if lines and not lines[-1]:
-                lines.pop()
-            return len(parse_lines(lines, trusted=True, skip_comments=True))
-
     clock = shared_clock()
     perf_counter = clock.now
     rate = config.rate
@@ -600,12 +602,22 @@ def _replay_stream(
     window_rates: list[float] = []
     marker_times: list[tuple[str, float]] = []
 
-    start = perf_counter()
-    next_emit = start
-    window_start = start
-    window_count = 0
     failure: BaseException | None = None
     try:
+        binary = codec.detect_stream_format(config.path) == "binary"
+        emit = transport.send_frame if binary else transport.send_raw
+        if not decode:
+            count_batch = None
+        elif binary:
+            # Corruption raises here, before any emission.
+            witness.preverify_shard(config.path, view=config.view)
+            count_batch = witness.count_verified_frame
+        else:
+            count_batch = _csv_batch_counter(config.path)
+        start = perf_counter()
+        next_emit = start
+        window_start = start
+        window_count = 0
         for item in codec.iter_raw_batches(
             config.path, batch_lines=config.batch_lines, view=config.view
         ):
@@ -613,9 +625,9 @@ def _replay_stream(
                 if count_batch is None:
                     count = item.count
                 else:
-                    # Decode-in-worker: validate and count the batch's
-                    # records locally before the verbatim byte emission
-                    # (raw mode trusts the partitioner's counts).
+                    # Decode-in-worker: count the batch's records
+                    # locally before the verbatim byte emission (raw
+                    # mode trusts the partitioner's counts).
                     count = count_batch(item.data)
                 now = perf_counter()
                 wait = next_emit - now

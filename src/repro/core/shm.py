@@ -52,12 +52,9 @@ import struct
 import time
 from typing import Iterator
 
-from repro.errors import ConnectorError, StreamFormatError
+import numpy as np
 
-try:  # numpy is optional: the vector drain path degrades to the loop
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised where numpy is absent
-    _np = None
+from repro.errors import ConnectorError, StreamFormatError
 
 __all__ = [
     "SLOT_RAW",
@@ -140,20 +137,11 @@ def _prefault(buf, start: int, write: bool) -> None:
     they write-touch: the read-modify-write below can lose a concurrent
     update by the other side.
     """
-    if _np is not None:
-        view = _np.frombuffer(buf, dtype=_np.uint8)[start::_PAGE_SIZE]
-        if write:
-            view |= 0
-        else:
-            int(view.sum())
-        return
+    view = np.frombuffer(buf, dtype=np.uint8)[start::_PAGE_SIZE]
     if write:
-        for off in range(start, len(buf), _PAGE_SIZE):
-            buf[off] = buf[off]
+        view |= 0
     else:
-        touched = 0
-        for off in range(start, len(buf), _PAGE_SIZE):
-            touched += buf[off]
+        int(view.sum())
 
 
 class ShmRing:
@@ -635,11 +623,11 @@ class RingConsumer:
         from the payload — a FRAME slot's count must match its frame
         header, a RAW slot's count its newline count — so the receiver
         counts independently, exactly like the pipe/TCP receivers'
-        :func:`_count_stream`.  With numpy available, whole runs of
-        slots are checked in a handful of vector operations
-        (descriptors are fixed-size, so a run is one reshape away);
-        otherwise — or to localize an error the vector pass detected —
-        a per-slot loop does the same checks and raises the precise
+        :func:`_count_stream`.  Runs of eight or more slots are checked
+        in a handful of numpy operations (descriptors are fixed-size, so
+        a run is one reshape away); shorter runs — and a run whose error
+        the vector pass detected, to localize it — go through a per-slot
+        loop that does the same checks and raises the precise
         :class:`~repro.errors.StreamFormatError`.
 
         Returns ``(slots_consumed, records, finished)`` and advances
@@ -651,7 +639,7 @@ class RingConsumer:
             n = max_slots
         if n == 0:
             return 0, 0, self.finished
-        if _np is not None and n >= 8:
+        if n >= 8:
             vector = self._drain_counts_vector(n)
             if vector is not None:
                 return vector
@@ -723,7 +711,6 @@ class RingConsumer:
 
     def _drain_counts_vector(self, n: int) -> "tuple[int, int, bool] | None":
         """Vectorized drain: None means "loop path must re-check"."""
-        np = _np
         from repro.core import binfmt
 
         start = self._pending_seq

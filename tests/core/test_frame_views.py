@@ -13,6 +13,7 @@ import collections
 import os
 import pickle
 import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +26,7 @@ from repro.core.sharding import (
     replay_shard,
     write_shards,
 )
-from repro.errors import ReplayError, StreamFormatError
+from repro.errors import ConnectorError, ReplayError, StreamFormatError
 
 FAST = 5_000_000
 BATCH = 16
@@ -43,12 +44,9 @@ def _events(graph_pairs: int = 100):
     return out
 
 
-def _write(path, events=None, sidecar=False):
+def _write(path, events=None):
     binfmt.write_binary_stream(
-        path,
-        _events() if events is None else events,
-        batch_records=BATCH,
-        witness_path=witness.witness_path(path) if sidecar else None,
+        path, _events() if events is None else events, batch_records=BATCH
     )
     return str(path)
 
@@ -67,6 +65,39 @@ def _graph_frame_offsets(path):
         for offset, __, kind in binfmt.read_frame_index(path)
         if kind == binfmt.FRAME_GRAPH
     ]
+
+
+#: Where a decode shard comes from: a frame view of the source, an
+#: entity-hash shard file, or the whole source (the 1-worker replay).
+SOURCES = ["view", "hash", "whole-file"]
+
+
+def _corrupt_shard(tmp_path, source):
+    """Flip the first record tag of a shard's second graph frame.
+
+    Returns the shard's decode-mode :class:`WorkerConfig`, the flipped
+    byte's offset in the file it reads, and a sibling shard as
+    ``(path, view)`` (``None`` for the whole file).
+    """
+    path = _write(tmp_path / "s.gtb")
+    view = sibling = None
+    if source == "view":
+        view, sibling = (1, 2), (path, (0, 2))
+    elif source == "hash":
+        plan = write_shards(path, 2, tmp_path / "shards", shard_by="hash")
+        path, sibling = plan.paths[1], (plan.paths[0], None)
+    tag_at = _graph_frame_offsets(path)[1] + binfmt.FRAME_HEADER_SIZE
+    data = bytearray(Path(path).read_bytes())
+    data[tag_at] ^= 0x80  # unknown record tag
+    Path(path).write_bytes(data)
+    config = WorkerConfig(
+        index=0 if source == "whole-file" else 1,
+        path=path,
+        rate=FAST,
+        emission="decode",
+        view=view,
+    )
+    return config, tag_at, sibling
 
 
 class TestViewContents:
@@ -187,9 +218,8 @@ class TestViewContents:
 
 
 class TestViewVerification:
-    @pytest.mark.parametrize("sidecar", [False, True])
-    def test_views_verify_each_graph_frame_once(self, tmp_path, sidecar):
-        path = _write(tmp_path / "s.gtb", sidecar=sidecar)
+    def test_views_verify_each_graph_frame_once(self, tmp_path):
+        path = _write(tmp_path / "s.gtb")
         index = binfmt.read_frame_index(path)
         controls = sum(1 for __, __, k in index if k == binfmt.FRAME_CONTROL)
         graph_frames = len(index) - controls
@@ -197,25 +227,34 @@ class TestViewVerification:
         assert sum(frames - controls for frames, __ in proofs) == graph_frames
         assert sum(records - controls for __, records in proofs) == 200
 
-    @pytest.mark.parametrize("sidecar", [False, True])
-    def test_flipped_frame_fails_before_emission(self, tmp_path, sidecar):
-        path = _write(tmp_path / "s.gtb", sidecar=sidecar)
-        frame = _graph_frame_offsets(path)[1]  # worker 1's first frame
-        tag_at = frame + binfmt.FRAME_HEADER_SIZE
-        data = bytearray(open(path, "rb").read())
-        data[tag_at] ^= 0x80  # unknown record tag
-        open(path, "wb").write(data)
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_flipped_frame_fails_before_emission(self, tmp_path, source):
+        config, tag_at, sibling = _corrupt_shard(tmp_path, source)
         sent = []
-        config = WorkerConfig(
-            index=1, path=path, rate=FAST, emission="decode", view=(1, 2)
-        )
         transport = CallbackTransport(lambda line: sent.append(line))
         with pytest.raises(StreamFormatError) as caught:
             replay_shard(config, transport)
         assert caught.value.byte_offset == tag_at
         assert sent == []
-        # Worker 0's view does not hold the flipped frame.
-        assert witness.preverify_shard(path, view=(0, 2)) is not None
+        if sibling is not None:
+            # The sibling shard does not hold the flipped frame.
+            assert witness.preverify_shard(*sibling)
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_failed_proof_closes_the_transport(self, tmp_path, source):
+        config, __, __ = _corrupt_shard(tmp_path, source)
+        frame = binfmt.encode_graph_frame([add_vertex(1)])
+        with ShmReceiver(slots=64, arena_bytes=1 << 16) as receiver:
+            pipe = PipeSpec(target=str(tmp_path / "out.gtb"))
+            for spec in (pipe, receiver.specs[0]):
+                sender = spec.build()
+                with pytest.raises(StreamFormatError):
+                    replay_shard(config, sender)
+                with pytest.raises(ConnectorError, match="closed"):
+                    sender.send_frame(frame, 1)
+            # The ring is marked producer-closed: the drain ends.
+            receiver.join(timeout=5.0)
+        assert receiver.counter.total == 0
 
     def test_flipped_frame_in_sharded_replay_leaks_nothing(self, tmp_path):
         path = _write(tmp_path / "s.gtb")
@@ -280,19 +319,19 @@ class TestNoShardFiles:
         assert sorted(os.listdir(tmp_path)) == before
 
 
-@pytest.mark.skipif(witness._np is None, reason="needs numpy")
 class TestLockstepWalk:
     """The numpy lockstep record walk must agree with the reference
-    ``scan_view`` walk: the same counts on clean views, and a refusal
-    (``None``) wherever ``scan_view`` raises."""
+    ``scan_view`` walk, on views and on the whole file: the same counts
+    when clean, and a refusal (``None``) wherever ``scan_view``
+    raises."""
 
     @pytest.mark.parametrize("batch", [4, 16, 256])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_counts_match_scan_view(self, tmp_path, batch, workers):
         path = str(tmp_path / "s.gtb")
         binfmt.write_binary_stream(path, _events(150), batch_records=batch)
-        for index in range(workers):
-            view = (index, workers)
+        views = [(index, workers) for index in range(workers)]
+        for view in views + [None]:
             assert witness._walk_view_vector(path, view) == (
                 binfmt.scan_view(path, view)
             )
@@ -317,9 +356,9 @@ class TestLockstepWalk:
         else:
             data[frame + 1] += 1
         open(path, "wb").write(data)
-        view = (0, 1)
-        assert witness._walk_view_vector(path, view) is None
-        with pytest.raises(StreamFormatError):
-            binfmt.scan_view(path, view)
-        with pytest.raises(StreamFormatError):
-            witness.preverify_shard(path, view=view)
+        for view in ((0, 1), None):
+            assert witness._walk_view_vector(path, view) is None
+            with pytest.raises(StreamFormatError):
+                binfmt.scan_view(path, view)
+            with pytest.raises(StreamFormatError):
+                witness.preverify_shard(path, view=view)

@@ -1,6 +1,6 @@
-"""Witness sidecar tests: the bulk verifier must accept exactly what
-the per-frame walk accepts and reject corruption with typed errors,
-while staleness and absence silently fall back (return ``None``)."""
+"""Up-front shard proof tests: ``preverify_shard`` must accept exactly
+what the per-frame walk accepts and reject corruption with a typed
+error at the offending byte's file offset."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ import pytest
 from repro.core import binfmt, witness
 from repro.core.events import add_edge, add_vertex, marker
 from repro.errors import StreamFormatError
-
-np = pytest.importorskip("numpy")
 
 
 def _events(n: int = 50):
@@ -25,45 +23,29 @@ def _events(n: int = 50):
 
 @pytest.fixture
 def stream(tmp_path):
-    """A binary stream plus its recorded sidecar."""
+    """A binary stream file and the events it holds."""
     path = tmp_path / "shard.gtb"
     events = _events()
-    binfmt.write_binary_stream(
-        path, events, batch_records=16,
-        witness_path=witness.witness_path(path),
-    )
+    binfmt.write_binary_stream(path, events, batch_records=16)
     return path, events
 
 
 class TestPreverify:
     def test_clean_stream_verifies(self, stream):
         path, events = stream
-        result = witness.preverify_shard(path)
-        assert result is not None
-        frames, records = result
+        frames, records = witness.preverify_shard(path)
         assert records == len(events)
-        assert frames >= 1
+        assert frames == len(binfmt.read_frame_index(path))
 
-    def test_missing_sidecar_falls_back(self, stream, tmp_path):
-        path, __ = stream
-        witness.witness_path(path).unlink()
-        assert witness.preverify_shard(path) is None
-
-    def test_stale_sidecar_falls_back(self, stream):
-        # Rewriting the stream (different size) without refreshing the
-        # sidecar must demote to the walk, never falsely verify.
-        path, __ = stream
-        binfmt.write_binary_stream(path, _events(10), batch_records=16)
-        assert witness.preverify_shard(path) is None
-
-    def test_missing_stream_falls_back(self, stream):
+    def test_missing_stream_raises(self, stream):
         path, __ = stream
         path.unlink()
-        assert witness.preverify_shard(path) is None
+        with pytest.raises(FileNotFoundError):
+            witness.preverify_shard(path)
 
 
 class TestStreamCorruption:
-    """Same-size byte corruption is detected, never demoted."""
+    """Byte corruption raises at the flipped byte's file offset."""
 
     def _flip(self, path, offset: int, value: int) -> None:
         data = bytearray(path.read_bytes())
@@ -73,8 +55,9 @@ class TestStreamCorruption:
     def test_frame_kind_byte(self, stream):
         path, __ = stream
         self._flip(path, len(binfmt.MAGIC), 0xEF)
-        with pytest.raises(StreamFormatError, match="kind byte"):
+        with pytest.raises(StreamFormatError, match="frame kind") as info:
             witness.preverify_shard(path)
+        assert info.value.byte_offset == len(binfmt.MAGIC)
 
     def test_frame_count_byte(self, stream):
         path, __ = stream
@@ -87,7 +70,7 @@ class TestStreamCorruption:
         path, __ = stream
         first_record = len(binfmt.MAGIC) + binfmt.FRAME_HEADER_SIZE
         self._flip(path, first_record, 0xEE)
-        with pytest.raises(StreamFormatError, match="unknown tag") as info:
+        with pytest.raises(StreamFormatError, match="record tag") as info:
             witness.preverify_shard(path)
         assert info.value.byte_offset == first_record
 
@@ -95,45 +78,8 @@ class TestStreamCorruption:
         path, __ = stream
         first_record = len(binfmt.MAGIC) + binfmt.FRAME_HEADER_SIZE
         self._flip(path, first_record + 1, 0xEF)
-        with pytest.raises(StreamFormatError, match="length prefix"):
-            witness.preverify_shard(path)
-
-
-class TestSidecarCorruption:
-    def test_truncated_header(self, stream):
-        path, __ = stream
-        side = witness.witness_path(path)
-        side.write_bytes(side.read_bytes()[:10])
-        with pytest.raises(StreamFormatError, match="truncated witness"):
-            witness.preverify_shard(path)
-
-    def test_wrong_magic(self, stream):
-        path, __ = stream
-        side = witness.witness_path(path)
-        blob = bytearray(side.read_bytes())
-        blob[:4] = b"XXXX"
-        side.write_bytes(bytes(blob))
-        with pytest.raises(StreamFormatError, match="not a witness"):
-            witness.preverify_shard(path)
-
-    def test_table_length_mismatch(self, stream):
-        path, __ = stream
-        side = witness.witness_path(path)
-        side.write_bytes(side.read_bytes() + b"\0\0\0\0")
-        with pytest.raises(StreamFormatError, match="header implies"):
-            witness.preverify_shard(path)
-
-    def test_lying_frame_count(self, stream):
-        # A parseable sidecar whose tables disagree with the stream's
-        # headers is corruption: typed error, not fallback.
-        path, __ = stream
-        side = witness.witness_path(path)
-        blob = bytearray(side.read_bytes())
-        header_size = witness._HEADER.size
-        # frame_counts[0] lives right after the header (u32 LE).
-        blob[header_size] ^= 0x01
-        side.write_bytes(bytes(blob))
-        with pytest.raises(StreamFormatError):
+        frame = f"frame at byte offset {len(binfmt.MAGIC)}:"
+        with pytest.raises(StreamFormatError, match=frame):
             witness.preverify_shard(path)
 
 
@@ -145,25 +91,3 @@ class TestCountVerifiedFrame:
     def test_truncated_frame(self):
         with pytest.raises(StreamFormatError, match="truncated"):
             witness.count_verified_frame(b"\x00\x01")
-
-
-class TestDumpWitness:
-    def test_round_trip(self, tmp_path):
-        blob = witness.dump_witness(
-            [2, 1], [20, 10], bytes([0, 1]), [5, 6, 5], 100
-        )
-        side = tmp_path / "w.witness"
-        side.write_bytes(blob)
-        wit = witness.load_witness(side)
-        assert wit.file_size == 100
-        assert list(wit.frame_counts) == [2, 1]
-        assert list(wit.frame_bodies) == [20, 10]
-        assert list(wit.frame_kinds) == [0, 1]
-        assert list(wit.record_lens) == [5, 6, 5]
-
-    def test_load_missing_returns_none(self, tmp_path):
-        assert witness.load_witness(tmp_path / "absent.witness") is None
-
-    def test_table_disagreement_rejected(self):
-        with pytest.raises(ValueError, match="disagree"):
-            witness.dump_witness([1], [10, 20], bytes([0]), [5], 50)

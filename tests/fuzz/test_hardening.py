@@ -55,9 +55,30 @@ def test_bad_utf8_binary_payload_raises_typed_error(tmp_path):
         _parse_bytes(tmp_path, data, ".gtb")
 
 
-def test_non_utf8_csv_raises_typed_error_with_offset(tmp_path):
-    with pytest.raises(StreamFormatError, match="byte offset"):
-        _parse_bytes(tmp_path, b"ADD_VERTEX,1,\xff\xfe\n", ".csv")
+@pytest.mark.parametrize(
+    "emission", [None, "events", "decode"], ids=["parse", "events", "decode"]
+)
+def test_non_utf8_csv_raises_typed_error_with_offset(tmp_path, emission):
+    data = b"ADD_VERTEX,1,\xff\xfe\n"
+    if emission is None:
+        with pytest.raises(StreamFormatError, match="byte offset 13"):
+            _parse_bytes(tmp_path, data, ".csv")
+        return
+    from repro.core.connectors import PipeSpec
+    from repro.core.sharding import ShardedReplayer
+
+    path = tmp_path / "stream.csv"
+    path.write_bytes(data)
+    # Events emission wraps the reader's typed error in a ReplayError.
+    expected = ReplayError if emission == "events" else StreamFormatError
+    with pytest.raises(expected, match="byte offset 13"):
+        ShardedReplayer(
+            str(path),
+            PipeSpec(target=str(tmp_path / "sink.csv")),
+            rate=1e6,
+            workers=1,
+            emission=emission,
+        ).run()
 
 
 def test_stream_format_error_byte_offset_attribute():

@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from repro.core import binfmt, codec, witness
+from repro.core import binfmt, codec
 from repro.core.connectors import (
     PipeReceiver,
     PipeSpec,
@@ -48,9 +48,7 @@ def streams(tmp_path_factory):
     csv_path = tmp / "stream.csv"
     codec.write_stream_file(csv_path, events, format="csv")
     bin_path = tmp / "stream.gtb"
-    binfmt.write_binary_stream(
-        bin_path, events, witness_path=witness.witness_path(bin_path)
-    )
+    binfmt.write_binary_stream(bin_path, events)
     return {"csv": csv_path, "binary": bin_path}
 
 
