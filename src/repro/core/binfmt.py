@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.codec import RawBatch
@@ -894,30 +894,29 @@ def iter_binary_batches(
             pass
 
 
-def scan_view(
-    path: str | Path, view: tuple[int, int] | None = None
-) -> tuple[int, int]:
-    """Validate every frame of a file, or of one frame view of it, and
-    return ``(frames, records)``.
+def _decode_frames(
+    path: str | Path,
+    view: tuple[int, int] | None,
+    decode_graph: Callable[[memoryview], Any],
+) -> Iterator[tuple[int, Any]]:
+    """Yield ``(kind, decoded)`` for every frame of a file, or of one
+    frame view of it: ``decode_graph(frame)`` for graph frames (header
+    included), the decoded event for control frames.
 
-    Graph frames get the :func:`scan_frame` record walk and control
-    frames a full decode.  A malformed frame raises
-    :class:`~repro.errors.StreamFormatError` whose ``byte_offset`` is
-    the offending byte's offset in the file.
+    A malformed frame raises :class:`~repro.errors.StreamFormatError`
+    whose ``byte_offset`` is the offending byte's offset in the file,
+    with the path in its message.
     """
     mapped = _open_binary_view(path)
     buffer = memoryview(mapped)
-    frames = 0
-    records = 0
     try:
-        for position, kind, count, frame_end in _frames(mapped, view):
+        for position, kind, __, frame_end in _frames(mapped, view):
             frame = buffer[position:frame_end]
             try:
                 if kind == FRAME_GRAPH:
-                    records += scan_frame(frame)
+                    decoded = decode_graph(frame)
                 else:
-                    decode_event(frame, FRAME_HEADER_SIZE)
-                    records += 1
+                    decoded = decode_event(frame, FRAME_HEADER_SIZE)
             except StreamFormatError as exc:
                 # Re-anchor the frame-relative offset in the file.
                 detail = str(exc)
@@ -930,10 +929,27 @@ def scan_view(
                 ) from exc
             finally:
                 frame.release()
-            frames += 1
+            yield kind, decoded
     finally:
         buffer.release()
         mapped.close()
+
+
+def scan_view(
+    path: str | Path, view: tuple[int, int] | None = None
+) -> tuple[int, int]:
+    """Validate every frame of a file, or of one frame view of it, and
+    return ``(frames, records)``.
+
+    Graph frames get the :func:`scan_frame` record walk and control
+    frames a full decode; errors are located as in
+    :func:`_decode_frames`.
+    """
+    frames = 0
+    records = 0
+    for kind, decoded in _decode_frames(path, view, scan_frame):
+        frames += 1
+        records += decoded if kind == FRAME_GRAPH else 1
     return frames, records
 
 
@@ -983,31 +999,22 @@ def iter_parse_binary_chunks(
     The binary sibling of :func:`repro.core.codec.iter_parse_chunks`,
     used by the replayer's reader thread.  With a tracer, each decoded
     frame gets a sampled ``decoded`` span.  ``view`` restricts the
-    chunks to one frame view (see :func:`iter_binary_batches`).
+    chunks to one frame view (see :func:`iter_binary_batches`).  Errors
+    are located in the file, as in :func:`_decode_frames`.
     """
     if chunk_events <= 0:
         raise ValueError(f"chunk_events must be positive, got {chunk_events}")
     pending: list[Event] = []
-    decoded = 0
-    for item in iter_binary_batches(path, view):
-        if isinstance(item, Event):
-            pending.append(item)
-        elif tracer is None:
-            pending.extend(decode_frame_events(item.data))
+    decode_graph = (
+        decode_frame_events
+        if tracer is None
+        else tracer.trace_decode(decode_frame_events)
+    )
+    for kind, item in _decode_frames(path, view, decode_graph):
+        if kind == FRAME_GRAPH:
+            pending.extend(item)
         else:
-            decode_start = tracer.clock.now()
-            events = decode_frame_events(item.data)
-            if events and tracer.sample_batch(decoded, len(events)):
-                tracer.record_span(
-                    "decoded",
-                    "reader",
-                    decode_start,
-                    tracer.clock.now() - decode_start,
-                    event_id=decoded,
-                    count=len(events),
-                )
-            decoded += len(events)
-            pending.extend(events)
+            pending.append(item)
         while len(pending) >= chunk_events:
             yield pending[:chunk_events]
             del pending[:chunk_events]

@@ -735,37 +735,17 @@ def iter_parse_chunks(
         return
     pending: list[Event] = []
     line_number = 1
-    decoded = 0
+    parse = parse_lines if tracer is None else tracer.trace_decode(parse_lines)
     blocks = _iter_line_blocks_mmap(path) if trusted else _iter_line_blocks(path)
     for lines in blocks:
-        if tracer is None:
-            pending.extend(
-                parse_lines(
-                    lines,
-                    trusted=trusted,
-                    skip_comments=True,
-                    first_line_number=line_number,
-                )
-            )
-        else:
-            decode_start = tracer.clock.now()
-            parsed = parse_lines(
+        pending.extend(
+            parse(
                 lines,
                 trusted=trusted,
                 skip_comments=True,
                 first_line_number=line_number,
             )
-            if parsed and tracer.sample_batch(decoded, len(parsed)):
-                tracer.record_span(
-                    "decoded",
-                    "reader",
-                    decode_start,
-                    tracer.clock.now() - decode_start,
-                    event_id=decoded,
-                    count=len(parsed),
-                )
-            decoded += len(parsed)
-            pending.extend(parsed)
+        )
         line_number += len(lines)
         while len(pending) >= chunk_events:
             yield pending[:chunk_events]

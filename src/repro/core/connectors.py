@@ -602,16 +602,6 @@ class ShmSpec(TransportSpec):
         return ShmTransport(self.name, stall_timeout=self.stall_timeout)
 
 
-@dataclass(frozen=True, slots=True)
-class _Window:
-    start: float
-    count: int
-
-    @property
-    def rate(self) -> float:
-        return self.count  # windows are 1 second by construction below
-
-
 class WindowCounter:
     """Counts arriving events per fixed time window (receiver side).
 

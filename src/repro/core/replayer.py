@@ -9,16 +9,17 @@ timestamps and busy-waiting for timeliness."
 
 This implementation follows that design: a reader thread parses the
 stream file into a bounded hand-off queue while the emitter thread
-paces deliveries with ``time.perf_counter`` and a hybrid
-sleep/busy-wait loop.  ``SPEED`` and ``PAUSE`` control events take
-effect at their stream position.  The emitter records per-window
-egress counts so the actual achieved rate can be analysed afterwards
-(the Figure 3a measurement).
+paces deliveries with a :class:`Pacer`.  The Pacer is the one
+emission clock of every replay loop in the package (the sharded raw
+and decode loops use it too): a token bucket on the unified trace
+clock with a hybrid sleep/busy-wait, ``SPEED`` and ``PAUSE`` handling
+at their stream position, and per-window egress rates so the actual
+achieved rate can be analysed afterwards (the Figure 3a measurement).
 
 Both sides of the hand-off are batched: the reader enqueues *chunks*
 (lists of events) so the queue costs one put/get per ``read_chunk``
-events rather than per event, and the emitter paces with a token
-bucket that emits up to ``batch_size`` events per wakeup through
+events rather than per event, and the emitter sends up to
+``batch_size`` events per Pacer wakeup through
 ``Transport.send_many``.  ``batch_size=1`` reproduces the unbatched
 per-event pacing exactly; larger batches trade per-event timing
 granularity for a substantially higher saturation rate (see
@@ -60,12 +61,9 @@ from repro.core.stream import GraphStream
 from repro.core.tracing import TraceClock, Tracer, shared_clock
 from repro.errors import ConnectorError, ReplayError
 
-__all__ = ["LiveReplayer", "ReplayReport", "ReplayCheckpoint"]
+__all__ = ["LiveReplayer", "Pacer", "ReplayReport", "ReplayCheckpoint"]
 
 _SENTINEL = object()
-
-#: Sleep when more than this far from the deadline; busy-wait below it.
-_SPIN_THRESHOLD = 0.0015
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,6 +140,115 @@ class ReplayReport:
     def p95_rate(self) -> float:
         """95th percentile of the per-window achieved rates."""
         return self.rate_percentile(95)
+
+
+class Pacer:
+    """The clock of one replay: a token bucket and its rate records.
+
+    Batches are due at ``rate`` events per second times the ``SPEED``
+    factor in effect.  :meth:`pace` sleeps to about 1 ms before the
+    deadline and busy-waits the rest; a caller more than one window
+    behind forfeits the debt, so a slow transport degrades the rate
+    instead of bursting afterwards.  A replay loop calls ``pace(count)``
+    right before sending each batch, hands its control events to
+    :meth:`marker` and :meth:`control`, and ends with :meth:`finish`.
+    ``window_rates`` gets one entry per closed window, ``marker_times``
+    are run-relative and ``start`` is the run start on ``clock``.
+    """
+
+    #: Sleep when more than this far from the deadline; busy-wait below it.
+    _SPIN_THRESHOLD = 0.0015
+
+    @staticmethod
+    def check(rate: float, window_seconds: float) -> None:
+        """Reject a non-positive rate or window."""
+        if rate <= 0:
+            raise ValueError(f"rate must be positive, got {rate}")
+        if window_seconds <= 0:
+            raise ValueError(
+                f"window_seconds must be positive, got {window_seconds}"
+            )
+
+    def __init__(self, rate: float, window_seconds: float, clock: TraceClock):
+        self.check(rate, window_seconds)
+        self._now = clock.now
+        self._rate = rate
+        self._window_seconds = window_seconds
+        self.speed_factor = 1.0
+        self._interval = 1.0 / rate
+        self.window_rates: list[float] = []
+        self.marker_times: list[tuple[str, float]] = []
+        self.start = self._now()
+        self._next_emit = self._sent_at = self._window_start = self.start
+        self._window_count = 0
+
+    # hot-path
+    def pace(self, count: int) -> None:
+        """Block until the next batch, of ``count`` events, is due.
+
+        The previous batch is booked into its window here, once the
+        caller comes back for the next one, so a batch whose send
+        raised is never counted.
+        """
+        if self._sent_at - self._window_start >= self._window_seconds:
+            self._close_window()
+        now = self._now()
+        deadline = self._next_emit
+        wait = deadline - now
+        if wait > 0:
+            if wait > self._SPIN_THRESHOLD:
+                # pacing sleep, bounded by the next emit slot
+                time.sleep(wait - 0.001)  # repro-check: disable=HOT001
+            clock = self._now
+            while clock() < deadline:
+                pass
+            now = deadline
+        elif -wait > self._window_seconds:
+            self._next_emit = now
+        self._next_emit += count * self._interval
+        self._window_count += count
+        self._sent_at = now
+
+    def _close_window(self) -> None:
+        elapsed = self._sent_at - self._window_start
+        self.window_rates.append(self._window_count / elapsed)
+        self._window_start = self._sent_at
+        self._window_count = 0
+
+    def finish(self) -> float:
+        """Book the last batch; returns the run's duration so far."""
+        if self._sent_at - self._window_start >= self._window_seconds:
+            self._close_window()
+        return self._now() - self.start
+
+    def marker(self, label: str) -> float:
+        """Record a ``MARKER`` passed now; returns the clock time."""
+        at = self._now()
+        self.marker_times.append((label, at - self.start))
+        return at
+
+    def control(self, event: Event) -> None:
+        """Apply a ``SPEED`` event (rescale the interval) or a ``PAUSE``
+        event (sleep, then restart the deadline)."""
+        if isinstance(event, SpeedEvent):
+            self.speed_factor = event.factor
+            self._interval = 1.0 / (self._rate * event.factor)
+        elif isinstance(event, PauseEvent):
+            # PAUSE events block by design
+            time.sleep(event.seconds)  # repro-check: disable=HOT001
+            self._next_emit = self._now()
+        else:
+            raise ReplayError(f"cannot replay {type(event).__name__}")
+
+    def resume(self, speed_factor: float, marker_count: int) -> None:
+        """Restart for a resumed attempt: keep closed windows, drop the
+        open one (it holds the batch whose send failed) and the markers
+        after the checkpoint, and restore the checkpoint's speed."""
+        del self.marker_times[marker_count:]
+        self.speed_factor = speed_factor
+        self._interval = 1.0 / (self._rate * speed_factor)
+        self._next_emit = self._sent_at = self._window_start = self._now()
+        self._window_count = 0
 
 
 class _ReaderThread:
@@ -301,10 +408,7 @@ class LiveReplayer:
         tracer: Tracer | None = None,
         view: tuple[int, int] | None = None,
     ):
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
-        if window_seconds <= 0:
-            raise ValueError("window_seconds must be positive")
+        Pacer.check(rate, window_seconds)
         if queue_capacity <= 0:
             raise ValueError("queue_capacity must be positive")
         if batch_size <= 0:
@@ -371,7 +475,6 @@ class LiveReplayer:
         and the reader thread stopped on every exit path.
         """
         batch_size = self._batch_size
-        window_seconds = self._window_seconds
         format_lines = codec.format_lines
         binary_wire = self._wire_format == "binary"
         if binary_wire:
@@ -383,8 +486,6 @@ class LiveReplayer:
 
         # Totals surviving across resume attempts.
         emitted = 0
-        window_rates: list[float] = []
-        marker_times: list[tuple[str, float]] = []
         resumes = 0
         resume_redeliveries = 0
         checkpoints = 0
@@ -407,7 +508,7 @@ class LiveReplayer:
                 tracer.count("emitted", emitted - traced_counted)
                 traced_counted = emitted
 
-        start = perf_counter()
+        pacer = Pacer(self._base_rate, self._window_seconds, self._clock)
         reader_error: Exception | None = None
 
         while True:
@@ -415,37 +516,20 @@ class LiveReplayer:
             reader = self._new_reader()
             reader.start()
 
-            interval = 1.0 / (self._base_rate * checkpoint.speed_factor)
             position = 0
+            resume_at = checkpoint.position
             emitted_since_checkpoint = 0
             pending: list[Event] = []
-            next_emit = perf_counter()
-            window_start = next_emit
-            window_count = 0
 
             def flush() -> None:
-                """Token-bucket emission: wait for the batch's deadline,
-                then burst the whole pending batch in one ``send_many``."""
-                nonlocal emitted, emitted_since_checkpoint, next_emit
-                nonlocal window_start, window_count
+                """Wait for the batch's deadline, then burst the whole
+                pending batch in one ``send_many``."""
+                nonlocal emitted, emitted_since_checkpoint
                 nonlocal next_sample, traced_counted
                 if not pending:
                     return
-                now = perf_counter()
-                wait = next_emit - now
-                if wait > 0:
-                    if wait > _SPIN_THRESHOLD:
-                        # pacing sleep, bounded by the next emit slot
-                        time.sleep(wait - 0.001)  # repro-check: disable=HOT001
-                    while perf_counter() < next_emit:
-                        pass
-                    now = next_emit
-                elif -wait > window_seconds:
-                    # Behind schedule: do not accumulate debt beyond one
-                    # window, so a slow transport degrades rate rather
-                    # than bursting unboundedly afterwards.
-                    next_emit = now
                 count = len(pending)
+                pacer.pace(count)
                 if tracer is None or emitted + count <= next_sample:
                     # Pending only ever holds graph events (control
                     # events flush before being handled), so a binary
@@ -489,12 +573,6 @@ class LiveReplayer:
                 pending.clear()
                 emitted += count
                 emitted_since_checkpoint += count
-                window_count += count
-                next_emit += count * interval
-                if now - window_start >= window_seconds:
-                    window_rates.append(window_count / (now - window_start))
-                    window_start = now
-                    window_count = 0
 
             failure: BaseException | None = None
             try:
@@ -505,7 +583,7 @@ class LiveReplayer:
                     if chunk is _SENTINEL:
                         break
                     for item in chunk:
-                        if position < checkpoint.position:
+                        if position < resume_at:
                             # Fast-forward to the checkpoint: already
                             # delivered before the resume, do not
                             # re-emit, re-pause, or re-record markers.
@@ -517,8 +595,7 @@ class LiveReplayer:
                                 flush()
                         elif isinstance(item, MarkerEvent):
                             flush()
-                            marker_at = perf_counter()
-                            marker_times.append((item.label, marker_at - start))
+                            marker_at = pacer.marker(item.label)
                             if tracer is not None:
                                 tracer.instant(
                                     "marker",
@@ -532,24 +609,13 @@ class LiveReplayer:
                                 label=item.label,
                                 position=position + 1,
                                 emitted=emitted,
-                                speed_factor=interval_factor(
-                                    self._base_rate, interval
-                                ),
-                                marker_count=len(marker_times),
+                                speed_factor=pacer.speed_factor,
+                                marker_count=len(pacer.marker_times),
                             )
                             emitted_since_checkpoint = 0
-                        elif isinstance(item, SpeedEvent):
-                            flush()
-                            interval = 1.0 / (self._base_rate * item.factor)
-                        elif isinstance(item, PauseEvent):
-                            flush()
-                            # PAUSE events block by design
-                            time.sleep(item.seconds)  # repro-check: disable=HOT001
-                            next_emit = perf_counter()
                         else:
-                            raise ReplayError(
-                                f"cannot replay {type(item).__name__}"
-                            )
+                            flush()
+                            pacer.control(item)
                         position += 1
                 flush()
             except ConnectorError as exc:
@@ -564,7 +630,6 @@ class LiveReplayer:
                 # it will be delivered again (at-least-once).
                 resumes += 1
                 resume_redeliveries += emitted_since_checkpoint
-                del marker_times[checkpoint.marker_count :]
                 if self._transport_factory is not None:
                     try:
                         transport.close()
@@ -574,6 +639,7 @@ class LiveReplayer:
                 if self._resume_delay:
                     # configured reconnect backoff, off the steady path
                     time.sleep(self._resume_delay)  # repro-check: disable=HOT001
+                pacer.resume(checkpoint.speed_factor, checkpoint.marker_count)
                 continue
             except BaseException as exc:
                 failure = exc
@@ -584,7 +650,7 @@ class LiveReplayer:
                 raise
             else:
                 flush_trace_counts()
-                duration = perf_counter() - start
+                duration = pacer.finish()
                 if not reader.stop(self._reader_join_timeout):
                     self.reader_leaked = True  # guarded-by: emitter-only
                 reader_error = reader.error
@@ -599,15 +665,15 @@ class LiveReplayer:
         return ReplayReport(
             events_emitted=emitted,
             duration=duration,
-            window_rates=tuple(window_rates),
-            marker_times=tuple(marker_times),
+            window_rates=tuple(pacer.window_rates),
+            marker_times=tuple(pacer.marker_times),
             retries=counters.retries,
             redeliveries=counters.redeliveries + resume_redeliveries,
             breaker_openings=counters.breaker_openings,
             chaos_faults=counters.chaos_faults,
             resumes=resumes,
             checkpoints=checkpoints,
-            started_at=start,
+            started_at=pacer.start,
         )
 
     def _close_transport(self, failure: BaseException | None) -> None:
@@ -618,8 +684,3 @@ class LiveReplayer:
         except Exception:
             if failure is None:
                 raise
-
-
-def interval_factor(base_rate: float, interval: float) -> float:
-    """The SPEED factor currently in effect given the emit interval."""
-    return 1.0 / (interval * base_rate)

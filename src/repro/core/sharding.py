@@ -58,7 +58,8 @@ Emission inside a worker runs in one of three modes:
 
 All three modes read a frame view through the same
 ``view=(k, N)`` argument of the binary batch iterator, carried on
-:class:`WorkerConfig`, so every mode emits each graph event once.
+:class:`WorkerConfig`, so every mode emits each graph event once.  All
+three pace with the one token bucket, :class:`~repro.core.replayer.Pacer`.
 
 Workers synchronise on a start barrier so their pacing windows share an
 epoch, and return their :class:`ReplayReport` over a queue; the merged
@@ -84,15 +85,8 @@ from typing import BinaryIO, Iterable, Sequence
 
 from repro.core import binfmt, codec, witness
 from repro.core.connectors import Transport, TransportSpec
-from repro.core.events import (
-    EdgeId,
-    Event,
-    GraphEvent,
-    MarkerEvent,
-    PauseEvent,
-    SpeedEvent,
-)
-from repro.core.replayer import LiveReplayer, ReplayReport
+from repro.core.events import EdgeId, Event, GraphEvent, MarkerEvent
+from repro.core.replayer import LiveReplayer, Pacer, ReplayReport
 from repro.core.resilience import (
     ChaosConfig,
     RetryPolicy,
@@ -117,12 +111,26 @@ __all__ = [
 #: Supported graph-event partitioning strategies.
 SHARD_STRATEGIES = ("round-robin", "hash")
 
-#: Sleep-vs-spin threshold of the raw emission loop (mirrors the
-#: LiveReplayer's pacing).
-_SPIN_THRESHOLD = 0.0015
-
 
 # -- partitioning ------------------------------------------------------------
+
+
+def _check_sharding(
+    workers: int, shard_by: str, stream_format: str = "auto"
+) -> None:
+    """Reject a non-positive worker count or an unknown shard strategy
+    or shard format."""
+    if workers <= 0:
+        raise ValueError(f"workers must be positive, got {workers}")
+    if shard_by not in SHARD_STRATEGIES:
+        raise ValueError(
+            f"unknown shard_by {shard_by!r}; expected one of {SHARD_STRATEGIES}"
+        )
+    if stream_format not in ("auto", "csv", "binary"):
+        raise ValueError(
+            f"unknown stream_format {stream_format!r}; "
+            "expected 'auto', 'csv' or 'binary'"
+        )
 
 
 def _entity_shard(entity: int | EdgeId, workers: int) -> int:
@@ -154,12 +162,7 @@ def partition_stream(
     graph-event multiset; with one worker the single shard is the
     input stream itself.
     """
-    if workers <= 0:
-        raise ValueError(f"workers must be positive, got {workers}")
-    if shard_by not in SHARD_STRATEGIES:
-        raise ValueError(
-            f"unknown shard_by {shard_by!r}; expected one of {SHARD_STRATEGIES}"
-        )
+    _check_sharding(workers, shard_by)
     shards: list[list[Event]] = [[] for __ in range(workers)]
     round_robin = 0
     for event in events:
@@ -446,17 +449,7 @@ def write_shards(
     — produce empty (or frame-less) files or views, which replay to
     empty reports.
     """
-    if workers <= 0:
-        raise ValueError(f"workers must be positive, got {workers}")
-    if shard_by not in SHARD_STRATEGIES:
-        raise ValueError(
-            f"unknown shard_by {shard_by!r}; expected one of {SHARD_STRATEGIES}"
-        )
-    if stream_format not in ("auto", "csv", "binary"):
-        raise ValueError(
-            f"unknown stream_format {stream_format!r}; "
-            "expected 'auto', 'csv' or 'binary'"
-        )
+    _check_sharding(workers, shard_by, stream_format)
     if _is_frame_view_source(source, shard_by, stream_format):
         return _frame_view_plan(str(source), workers)
     if directory is None:
@@ -566,42 +559,21 @@ def _replay_stream(
 ) -> ReplayReport:
     """Shard replay over stored batch bytes: the raw and decode modes.
 
-    Paces with the same token-bucket discipline as the
-    :class:`LiveReplayer` (sleep to ~1ms before the deadline, spin the
-    rest, never accumulate more than one window of debt) but at
-    :class:`~repro.core.codec.RawBatch` granularity, and handles
-    control events locally — markers are recorded, ``SPEED`` rescales
-    the interval, ``PAUSE`` sleeps.  No checkpoint resume: a transport
-    failure propagates.
-
-    Batches of a binary shard are whole frames and go out through
-    ``send_frame``; CSV line runs go through ``send_raw`` — either way
-    the stored bytes hit the wire verbatim.  With ``decode`` the worker
-    decodes each batch locally before emitting it: the per-event work
-    the parent-side partitioner no longer does, now paid inside the
-    worker where it scales with ``--workers``.  For binary shards that
-    is one up-front proof of the whole shard
-    (:func:`repro.core.witness.preverify_shard`: every record header
-    and tag validated, counts proven against the frame headers, payload
-    materialisation deferred to consumers), after which the loop reads
-    each batch's count from its frame header.  CSV shards need the full
-    trusted bulk parse of every batch just to delimit and count its
-    records.  That asymmetry is the point of the length-prefixed
-    format.  A frame view (``config.view``) proves its own frames only,
-    so N workers verify each graph frame once.  A shard that fails its
-    proof raises before anything is emitted, and the transport is
-    closed on every path.
+    Paces each :class:`~repro.core.codec.RawBatch` with a
+    :class:`~repro.core.replayer.Pacer`, which also applies the control
+    events.  Binary batches are whole frames sent through
+    ``send_frame`` and CSV line runs go through ``send_raw``: the stored
+    bytes hit the wire verbatim.  With ``decode`` the worker counts
+    each batch's records itself.  A binary shard (or frame view) is
+    proven once, before the Pacer starts, by
+    :func:`repro.core.witness.preverify_shard`, so the loop reads counts
+    from frame headers; a CSV batch gets the trusted bulk parse.  That
+    asymmetry is the point of the length-prefixed format.  A shard that
+    fails its proof raises before anything is emitted.  No checkpoint
+    resume: a transport failure propagates, and the transport is closed
+    on every path.
     """
-    clock = shared_clock()
-    perf_counter = clock.now
-    rate = config.rate
-    window_seconds = config.window_seconds
-    interval = 1.0 / rate
     emitted = 0
-    checkpoints = 0
-    window_rates: list[float] = []
-    marker_times: list[tuple[str, float]] = []
-
     failure: BaseException | None = None
     try:
         binary = codec.detect_stream_format(config.path) == "binary"
@@ -614,10 +586,7 @@ def _replay_stream(
             count_batch = witness.count_verified_frame
         else:
             count_batch = _csv_batch_counter(config.path)
-        start = perf_counter()
-        next_emit = start
-        window_start = start
-        window_count = 0
+        pacer = Pacer(config.rate, config.window_seconds, shared_clock())
         for item in codec.iter_raw_batches(
             config.path, batch_lines=config.batch_lines, view=config.view
         ):
@@ -629,39 +598,14 @@ def _replay_stream(
                     # locally before the verbatim byte emission (raw
                     # mode trusts the partitioner's counts).
                     count = count_batch(item.data)
-                now = perf_counter()
-                wait = next_emit - now
-                if wait > 0:
-                    if wait > _SPIN_THRESHOLD:
-                        # pacing sleep, bounded by the next emit slot
-                        time.sleep(wait - 0.001)  # repro-check: disable=HOT001
-                    while perf_counter() < next_emit:
-                        pass
-                    now = next_emit
-                elif -wait > window_seconds:
-                    # Behind schedule: cap the debt at one window so a
-                    # slow transport degrades rate instead of bursting.
-                    next_emit = now
+                pacer.pace(count)
                 emit(item.data, count)
                 emitted += count
-                window_count += count
-                next_emit += count * interval
-                if now - window_start >= window_seconds:
-                    window_rates.append(window_count / (now - window_start))
-                    window_start = now
-                    window_count = 0
             elif isinstance(item, MarkerEvent):
-                marker_times.append((item.label, perf_counter() - start))
-                checkpoints += 1
-            elif isinstance(item, SpeedEvent):
-                interval = 1.0 / (rate * item.factor)
-            elif isinstance(item, PauseEvent):
-                # PAUSE events block by design
-                time.sleep(item.seconds)  # repro-check: disable=HOT001
-                next_emit = perf_counter()
+                pacer.marker(item.label)
             else:
-                raise ReplayError(f"cannot replay {type(item).__name__}")
-        duration = perf_counter() - start
+                pacer.control(item)
+        duration = pacer.finish()
     except BaseException as exc:
         failure = exc
         raise
@@ -675,14 +619,14 @@ def _replay_stream(
     return ReplayReport(
         events_emitted=emitted,
         duration=duration,
-        window_rates=tuple(window_rates),
-        marker_times=tuple(marker_times),
+        window_rates=tuple(pacer.window_rates),
+        marker_times=tuple(pacer.marker_times),
         retries=counters.retries,
         redeliveries=counters.redeliveries,
         breaker_openings=counters.breaker_openings,
         chaos_faults=counters.chaos_faults,
-        checkpoints=checkpoints,
-        started_at=start,
+        checkpoints=len(pacer.marker_times),
+        started_at=pacer.start,
     )
 
 
@@ -893,15 +837,8 @@ class ShardedReplayer:
         start_method: str | None = None,
         worker_timeout: float = 300.0,
     ):
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
-        if workers <= 0:
-            raise ValueError(f"workers must be positive, got {workers}")
-        if shard_by not in SHARD_STRATEGIES:
-            raise ValueError(
-                f"unknown shard_by {shard_by!r}; "
-                f"expected one of {SHARD_STRATEGIES}"
-            )
+        Pacer.check(rate, window_seconds)
+        _check_sharding(workers, shard_by, stream_format)
         if emission not in ("events", "decode", "raw"):
             raise ValueError(
                 f"unknown emission mode {emission!r}; "
@@ -910,11 +847,6 @@ class ShardedReplayer:
         if emission in ("decode", "raw") and max_resumes:
             raise ValueError(
                 f"{emission} emission does not support checkpoint resume"
-            )
-        if stream_format not in ("auto", "csv", "binary"):
-            raise ValueError(
-                f"unknown stream_format {stream_format!r}; "
-                "expected 'auto', 'csv' or 'binary'"
             )
         specs: tuple[TransportSpec, ...]
         if isinstance(transport_spec, TransportSpec):

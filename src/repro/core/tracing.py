@@ -288,6 +288,31 @@ class Tracer:
                 **args,
             )
 
+    def trace_decode(
+        self, decode: Callable[..., list[Any]]
+    ) -> Callable[..., list[Any]]:
+        """``decode`` with a sampled ``decoded`` span (reader lane) per
+        call; event ids count the decoded items in call order."""
+        decoded = 0
+
+        def traced(*args: Any, **kwargs: Any) -> list[Any]:
+            nonlocal decoded
+            start = self.clock.now()
+            items = decode(*args, **kwargs)
+            if items and self.sample_batch(decoded, len(items)):
+                self.record_span(
+                    "decoded",
+                    "reader",
+                    start,
+                    self.clock.now() - start,
+                    event_id=decoded,
+                    count=len(items),
+                )
+            decoded += len(items)
+            return items
+
+        return traced
+
     def count(self, phase: str, n: int = 1) -> None:
         """Bump the exact (sampling-independent) counter for ``phase``."""
         with self._count_lock:

@@ -10,6 +10,7 @@ and leave no file, directory or shm segment behind.
 from __future__ import annotations
 
 import collections
+import dataclasses
 import os
 import pickle
 import tempfile
@@ -70,6 +71,12 @@ def _graph_frame_offsets(path):
 #: Where a decode shard comes from: a frame view of the source, an
 #: entity-hash shard file, or the whole source (the 1-worker replay).
 SOURCES = ["view", "hash", "whole-file"]
+
+#: Each source under ``decode`` emission (which proves the shard before
+#: emitting) and ``events`` emission (which parses while it emits).
+FLIP_CASES = [
+    pytest.param(source, "decode", id=source) for source in SOURCES
+] + [pytest.param(source, "events", id=f"{source}-events") for source in SOURCES]
 
 
 def _corrupt_shard(tmp_path, source):
@@ -227,15 +234,28 @@ class TestViewVerification:
         assert sum(frames - controls for frames, __ in proofs) == graph_frames
         assert sum(records - controls for __, records in proofs) == 200
 
-    @pytest.mark.parametrize("source", SOURCES)
-    def test_flipped_frame_fails_before_emission(self, tmp_path, source):
+    @pytest.mark.parametrize("source, emission", FLIP_CASES)
+    def test_flipped_frame_fails_before_emission(
+        self, tmp_path, source, emission
+    ):
         config, tag_at, sibling = _corrupt_shard(tmp_path, source)
+        config = dataclasses.replace(config, emission=emission)
         sent = []
         transport = CallbackTransport(lambda line: sent.append(line))
-        with pytest.raises(StreamFormatError) as caught:
-            replay_shard(config, transport)
-        assert caught.value.byte_offset == tag_at
-        assert sent == []
+        if emission == "decode":
+            with pytest.raises(StreamFormatError) as caught:
+                replay_shard(config, transport)
+            error = caught.value
+            assert sent == []
+        else:
+            # The reader parses while the emitter sends, so frames
+            # before the flip may go out; the cause is located.
+            with pytest.raises(ReplayError) as caught:
+                replay_shard(config, transport)
+            error = caught.value.__cause__
+            assert isinstance(error, StreamFormatError)
+        assert error.byte_offset == tag_at
+        assert config.path in str(error)
         if sibling is not None:
             # The sibling shard does not hold the flipped frame.
             assert witness.preverify_shard(*sibling)

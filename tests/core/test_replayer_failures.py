@@ -10,8 +10,8 @@ import pytest
 
 from repro.check.tsan import Monitor, instrument, watch_threads
 from repro.core.connectors import CallbackTransport, Transport
-from repro.core.events import add_vertex, marker
-from repro.core.replayer import LiveReplayer, ReplayCheckpoint, interval_factor
+from repro.core.events import add_vertex, marker, speed
+from repro.core.replayer import LiveReplayer, ReplayCheckpoint
 from repro.core.resilience import (
     ChaosConfig,
     ChaosTransport,
@@ -297,11 +297,33 @@ class TestCheckpointResume:
 
 
 class TestCheckpointState:
-    def test_interval_factor_round_trip(self):
-        base_rate = 2000.0
-        for factor in (0.5, 1.0, 4.0):
-            interval = 1.0 / (base_rate * factor)
-            assert interval_factor(base_rate, interval) == pytest.approx(factor)
+    def test_speed_survives_resume(self):
+        """SPEED(4), MARKER, failure, resume: the resumed attempt paces
+        the rest of the stream at 4x the base rate."""
+
+        class TimedTransport(FlakyTransport):
+            def __init__(self, fail_on):
+                super().__init__(fail_on)
+                self.sent_at: list[tuple[int, float]] = []
+
+            def send_many(self, lines):
+                super().send_many(lines)
+                self.sent_at.append((self.calls, time.perf_counter()))
+
+        transport = TimedTransport(fail_on={20})
+        stream = (
+            _events(10) + [speed(4.0), marker("fast")]
+            + [add_vertex(i) for i in range(10, 210)]
+        )
+        report = LiveReplayer(
+            stream, transport, rate=1000, max_resumes=1
+        ).run()
+        assert report.resumes == 1
+        assert [label for label, __ in report.marker_times] == ["fast"]
+        resumed = [at for call, at in transport.sent_at if call > 20]
+        assert len(resumed) == 200  # everything after the marker again
+        rate = (len(resumed) - 1) / (resumed[-1] - resumed[0])
+        assert rate == pytest.approx(4000, rel=0.3)
 
     def test_checkpoint_fields(self):
         checkpoint = ReplayCheckpoint(

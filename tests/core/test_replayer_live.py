@@ -18,12 +18,32 @@ from repro.core.connectors import (
 )
 from repro.core.events import add_vertex, marker, pause, speed
 from repro.core.replayer import LiveReplayer
+from repro.core.sharding import WorkerConfig, replay_shard
 from repro.core.stream import GraphStream
 from repro.errors import ConnectorError, ReplayError
 
 
 def _events(n):
     return [add_vertex(i) for i in range(n)]
+
+
+#: The paced replay loops: the LiveReplayer, and the sharded raw and
+#: decode loops over a stream file.
+LOOPS = ["live", "raw", "decode"]
+
+
+def _paced_replay(loop, tmp_path, items, rate):
+    """Replay ``items`` at ``rate`` through ``loop``, one event per
+    batch, into a discarding callback."""
+    transport = CallbackTransport(lambda l: None)
+    if loop == "live":
+        return LiveReplayer(GraphStream(items), transport, rate=rate).run()
+    path = tmp_path / "s.csv"
+    GraphStream(items).write(path)
+    config = WorkerConfig(
+        index=0, path=str(path), rate=rate, emission=loop, batch_lines=1
+    )
+    return replay_shard(config, transport)
 
 
 class TestCallbackReplay:
@@ -39,38 +59,31 @@ class TestCallbackReplay:
         assert len(received) == 200
         assert received[0] == "ADD_VERTEX,0,"
 
-    def test_rate_is_respected(self):
-        replayer = LiveReplayer(
-            GraphStream(_events(500)), CallbackTransport(lambda l: None), rate=1000
-        )
-        report = replayer.run()
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_rate_is_respected(self, tmp_path, loop):
+        report = _paced_replay(loop, tmp_path, _events(500), rate=1000)
+        assert report.events_emitted == 500
         assert report.mean_rate == pytest.approx(1000, rel=0.15)
 
-    def test_speed_control_event(self):
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_speed_control_event(self, tmp_path, loop):
         events = _events(200)
-        stream = GraphStream(events[:100] + [speed(4.0)] + events[100:])
-        replayer = LiveReplayer(
-            stream, CallbackTransport(lambda l: None), rate=1000
-        )
-        report = replayer.run()
+        items = events[:100] + [speed(4.0)] + events[100:]
+        report = _paced_replay(loop, tmp_path, items, rate=1000)
         # 100 @ 1000/s + 100 @ 4000/s = 0.125s total.
         assert report.duration == pytest.approx(0.125, rel=0.3)
 
-    def test_pause_control_event(self):
-        stream = GraphStream(_events(10) + [pause(0.3)] + _events(10)[0:0])
-        replayer = LiveReplayer(
-            stream, CallbackTransport(lambda l: None), rate=10_000
-        )
-        report = replayer.run()
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_pause_control_event(self, tmp_path, loop):
+        items = _events(10) + [pause(0.3)]
+        report = _paced_replay(loop, tmp_path, items, rate=10_000)
         assert report.duration >= 0.3
 
-    def test_marker_times_recorded(self):
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_marker_times_recorded(self, tmp_path, loop):
         events = _events(100)
-        stream = GraphStream(events[:50] + [marker("half")] + events[50:])
-        replayer = LiveReplayer(
-            stream, CallbackTransport(lambda l: None), rate=5000
-        )
-        report = replayer.run()
+        items = events[:50] + [marker("half")] + events[50:]
+        report = _paced_replay(loop, tmp_path, items, rate=5000)
         assert len(report.marker_times) == 1
         label, at = report.marker_times[0]
         assert label == "half"

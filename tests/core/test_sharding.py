@@ -432,6 +432,12 @@ class TestShardedReplayer:
             )
         with pytest.raises(ValueError):
             ShardedReplayer("s.csv", [spec], rate=1, workers=2)
+        for emission in ("events", "decode", "raw"):
+            with pytest.raises(ValueError, match="window_seconds"):
+                ShardedReplayer(
+                    "s.csv", spec, rate=1, workers=2, emission=emission,
+                    window_seconds=0,
+                )
 
     def test_in_memory_stream_source(self, tmp_path):
         out = tmp_path / "out.csv"
