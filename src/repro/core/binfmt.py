@@ -881,7 +881,7 @@ def iter_binary_batches(
     try:
         for position, kind, count, frame_end in _frames(mapped, view):
             if kind == FRAME_GRAPH:
-                yield RawBatch(buffer[position:frame_end], count, True)
+                yield RawBatch(buffer[position:frame_end], count)
             else:
                 yield decode_event(buffer, position + FRAME_HEADER_SIZE)
     finally:

@@ -562,20 +562,18 @@ class RawBatch:
 
     ``data`` is a :class:`memoryview` straight into the stream file's
     mapping — the exact bytes of ``count`` newline-separated lines,
-    never copied through Python strings.  ``ends_with_newline`` is
-    False only for a final line at EOF without one; emitters must then
-    append the terminator themselves.
+    never copied through Python strings.  Only a final line at EOF may
+    lack its newline; byte-stream transports append the terminator.
 
     Views alias the open mapping: consume (send) each batch before
     advancing the iterator that produced it.
     """
 
-    __slots__ = ("data", "count", "ends_with_newline")
+    __slots__ = ("data", "count")
 
-    def __init__(self, data: memoryview, count: int, ends_with_newline: bool):
+    def __init__(self, data: memoryview, count: int):
         self.data = data
         self.count = count
-        self.ends_with_newline = ends_with_newline
 
     def __repr__(self) -> str:
         return f"RawBatch({self.count} lines, {len(self.data)} bytes)"
@@ -636,13 +634,11 @@ def iter_raw_batches(
                 run_end = next_position
                 run_count += 1
                 if run_count >= batch_lines:
-                    yield RawBatch(
-                        view[run_start:run_end], run_count, newline != -1
-                    )
+                    yield RawBatch(view[run_start:run_end], run_count)
                     run_count = 0
             else:
                 if run_count:
-                    yield RawBatch(view[run_start:run_end], run_count, True)
+                    yield RawBatch(view[run_start:run_end], run_count)
                     run_count = 0
                 try:
                     line = mapped[position:end].decode("utf-8")
@@ -656,11 +652,7 @@ def iter_raw_batches(
                     yield parse_line(line, line_number)
             position = next_position
         if run_count:
-            yield RawBatch(
-                view[run_start:run_end],
-                run_count,
-                mapped[run_end - 1] == 0x0A,
-            )
+            yield RawBatch(view[run_start:run_end], run_count)
     finally:
         view.release()
         try:

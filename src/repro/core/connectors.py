@@ -2,14 +2,24 @@
 (paper sections 3.3 and 4.1).
 
 The framework's generic streaming interface supports different modes of
-operation, adapted by platform-specific connectors.  For live
-(wall-clock) replays three transports are provided:
+operation, adapted by platform-specific connectors.  Here that interface
+is :class:`Transport`, with one method per payload type:
+
+* ``send_many(lines)`` — formatted CSV text lines, the live replayer's
+  path;
+* ``send_frame(buf, count, binary=...)`` — stored bytes: one GTB1 frame
+  (``binary=True``) or a run of newline-terminated CSV lines
+  (``binary=False``), which the sharded replayer sends verbatim.
+
+For live (wall-clock) replays four transports implement it:
 
 * :class:`CallbackTransport` — in-process delivery to a Python callable
-  (the "platform-specific connector plugged into the replayer");
-* :class:`PipeTransport` — newline-delimited CSV lines onto a file
-  descriptor / file object (the paper's STDOUT→STDIN piping);
-* :class:`TcpTransport` — the same lines over a TCP socket, where the
+  (the "platform-specific connector plugged into the replayer"); stored
+  bytes are decoded into lines;
+* :class:`PipeTransport` — newline-delimited CSV lines (or GTB1 frames)
+  onto a file descriptor / file object (the paper's STDOUT→STDIN
+  piping);
+* :class:`TcpTransport` — the same bytes over a TCP socket, where the
   kernel's flow control provides backpressure (section 3.2);
 * :class:`ShmTransport` — batches through a
   :class:`~repro.core.shm.ShmRing` shared-memory ring (one producer,
@@ -62,69 +72,68 @@ __all__ = [
 SOCKET_BUFFER_BYTES = 1 << 20
 
 
-class Transport:
-    """Interface: deliver serialized event lines to a system under test."""
+def _payload_lines(buf: "bytes | memoryview", binary: bool) -> list[str]:
+    """Decode a stored payload into CSV lines, for line-oriented targets.
 
-    def send(self, line: str) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def send_many(self, lines: Iterable[str]) -> None:
-        """Deliver a batch of lines (the replayer's batched fast path).
-
-        The default delegates to :meth:`send` per line; concrete
-        transports override this with a single buffered write so a
-        whole batch costs one I/O operation.
-        """
-        for line in lines:
-            self.send(line)
-
-    def send_raw(self, data: "bytes | memoryview", count: int) -> None:
-        """Deliver ``count`` pre-serialized, newline-terminated lines.
-
-        The sharded replayer's zero-copy path: ``data`` holds the exact
-        wire bytes of whole lines (a :class:`~repro.core.codec.RawBatch`
-        slice).  The default decodes and delegates to :meth:`send_many`
-        so wrappers (chaos, retry, tracing) and in-process transports
-        keep their per-line semantics; byte-stream transports override
-        this with a verbatim write.
-        """
-        text = bytes(data).decode("utf-8")
-        lines = text.split("\n")
-        if lines and not lines[-1]:
-            lines.pop()
-        self.send_many(lines)
-
-    def send_frame(self, frame: "bytes | memoryview", count: int) -> None:
-        """Deliver one binary frame of ``count`` records (header included).
-
-        The binary-wire sibling of :meth:`send_raw`: ``frame`` holds the
-        exact bytes of one :mod:`repro.core.binfmt` frame.  Byte-stream
-        transports put it on the wire verbatim (prefixing the stream
-        magic on the first frame of a connection, so the peer can
-        autodetect the format); the default decodes the frame and
-        delegates to :meth:`send_many` as CSV lines, which keeps
-        in-process transports and line-oriented targets working
-        unchanged when a binary source feeds them.
-        """
+    ``binary`` payloads are one GTB1 frame, whose records are formatted;
+    otherwise ``buf`` is a run of newline-terminated CSV lines (the last
+    terminator may be missing), split at the newlines.
+    """
+    if binary:
         from repro.core import binfmt, codec
 
-        self.send_many(codec.format_lines(binfmt.decode_frame_events(frame)))
+        return codec.format_lines(binfmt.decode_frame_events(buf))
+    lines = str(buf, "utf-8").split("\n")
+    if lines and not lines[-1]:
+        lines.pop()
+    return lines
+
+
+class Transport:
+    """Interface: deliver events to a system under test.
+
+    Two entry points, one per payload type:
+
+    * :meth:`send_many` — formatted CSV text lines (without their
+      newlines), the live replayer's path;
+    * :meth:`send_frame` — stored bytes carrying ``count`` events,
+      either one GTB1 frame (``binary=True``) or a run of
+      newline-terminated CSV lines (``binary=False``), the sharded
+      replayer's zero-copy path.
+
+    ``binary`` is keyword-only and has no default, so every caller
+    states its wire format.
+    """
+
+    def send_many(self, lines: Iterable[str]) -> None:
+        """Deliver a batch of lines in one operation."""
+        raise NotImplementedError  # pragma: no cover - interface
+
+    def send_frame(
+        self, buf: "bytes | memoryview", count: int, *, binary: bool
+    ) -> None:
+        """Deliver ``count`` events stored as bytes, verbatim where the
+        target takes bytes.
+
+        Byte-stream transports prefix the GTB1 stream magic to the first
+        binary frame of a connection (so the peer autodetects the
+        format) and terminate a CSV run whose final newline is missing.
+        """
+        raise NotImplementedError  # pragma: no cover - interface
 
     def close(self) -> None:
         """Release resources; further sends raise :class:`ConnectorError`."""
 
 
 class CallbackTransport(Transport):
-    """Delivers each line to an in-process callable."""
+    """Delivers each line to an in-process callable.
+
+    Stored bytes are decoded into lines first (:meth:`send_frame`).
+    """
 
     def __init__(self, callback: Callable[[str], None]):
         self._callback = callback
         self._closed = False
-
-    def send(self, line: str) -> None:
-        if self._closed:
-            raise ConnectorError("transport is closed")
-        self._callback(line)
 
     def send_many(self, lines: Iterable[str]) -> None:
         if self._closed:
@@ -133,6 +142,11 @@ class CallbackTransport(Transport):
         for line in lines:
             callback(line)
 
+    def send_frame(
+        self, buf: "bytes | memoryview", count: int, *, binary: bool
+    ) -> None:
+        self.send_many(_payload_lines(buf, binary))
+
     def close(self) -> None:
         self._closed = True
 
@@ -140,7 +154,7 @@ class CallbackTransport(Transport):
 class PipeTransport(Transport):
     """Writes newline-terminated lines to a file object or fd.
 
-    Writes are buffered and flushed every ``flush_every`` lines to keep
+    Writes are buffered and flushed every ``flush_every`` events to keep
     per-event overhead low at high rates (the replayer's write path
     must not become the bottleneck being measured).
     """
@@ -159,19 +173,6 @@ class PipeTransport(Transport):
         self._closed = False
         self._magic_sent = False
 
-    def send(self, line: str) -> None:
-        if self._closed:
-            raise ConnectorError("transport is closed")
-        try:
-            self._file.write(line)
-            self._file.write("\n")
-        except (OSError, ValueError) as exc:
-            raise ConnectorError(f"pipe write failed: {exc}") from exc
-        self._since_flush += 1
-        if self._since_flush >= self._flush_every:
-            self._file.flush()
-            self._since_flush = 0
-
     def send_many(self, lines: Iterable[str]) -> None:
         if self._closed:
             raise ConnectorError("transport is closed")
@@ -189,56 +190,31 @@ class PipeTransport(Transport):
             self._file.flush()
             self._since_flush = 0
 
-    def send_raw(self, data: "bytes | memoryview", count: int) -> None:
-        """Write pre-serialized line bytes verbatim (zero-copy path).
+    def send_frame(
+        self, buf: "bytes | memoryview", count: int, *, binary: bool
+    ) -> None:
+        """Write stored bytes verbatim to the text file's binary buffer.
 
-        Bytes go to the text file's underlying binary buffer; targets
-        without one (e.g. ``StringIO``) fall back to the decoding
-        default.  A missing final newline is appended so the stream
-        stays line-delimited.
+        Targets without one (e.g. ``StringIO``) get the payload decoded
+        into lines instead.
         """
         if self._closed:
             raise ConnectorError("transport is closed")
         buffer = getattr(self._file, "buffer", None)
         if buffer is None:
-            super().send_raw(data, count)
+            self.send_many(_payload_lines(buf, binary))
             return
         try:
             # Order any buffered text writes before the raw bytes.
             self._file.flush()
-            buffer.write(data)
-            if len(data) and data[-1] != 0x0A:
-                buffer.write(b"\n")
-        except (OSError, ValueError) as exc:
-            raise ConnectorError(f"pipe write failed: {exc}") from exc
-        self._since_flush += count
-        if self._since_flush >= self._flush_every:
-            buffer.flush()
-            self._since_flush = 0
-
-    def send_frame(self, frame: "bytes | memoryview", count: int) -> None:
-        """Write one binary frame verbatim (no newline framing).
-
-        The first frame of the connection is preceded by the binary
-        stream magic so the peer (receiver or file reader) autodetects
-        the format.  Targets without a binary buffer (e.g. ``StringIO``)
-        fall back to the decoding default.
-        """
-        if self._closed:
-            raise ConnectorError("transport is closed")
-        buffer = getattr(self._file, "buffer", None)
-        if buffer is None:
-            super().send_frame(frame, count)
-            return
-        try:
-            # Order any buffered text writes before the raw bytes.
-            self._file.flush()
-            if not self._magic_sent:
+            if binary and not self._magic_sent:
                 from repro.core.binfmt import MAGIC
 
                 buffer.write(MAGIC)
                 self._magic_sent = True
-            buffer.write(frame)
+            buffer.write(buf)
+            if not binary and len(buf) and buf[-1] != 0x0A:
+                buffer.write(b"\n")
         except (OSError, ValueError) as exc:
             raise ConnectorError(f"pipe write failed: {exc}") from exc
         self._since_flush += count
@@ -267,7 +243,7 @@ class TcpTransport(Transport):
     """Sends newline-terminated lines over a TCP connection.
 
     The socket's send buffer plus TCP flow control provide natural
-    backpressure: when the receiver cannot keep up, ``send`` blocks.
+    backpressure: when the receiver cannot keep up, a send blocks.
     """
 
     def __init__(
@@ -307,19 +283,6 @@ class TcpTransport(Transport):
         self._closed = False
         self._magic_sent = False
 
-    def send(self, line: str) -> None:
-        if self._closed:
-            raise ConnectorError("transport is closed")
-        try:
-            self._file.write(line)
-            self._file.write("\n")
-        except OSError as exc:
-            raise ConnectorError(f"tcp write failed: {exc}") from exc
-        self._since_flush += 1
-        if self._since_flush >= self._flush_every:
-            self._file.flush()
-            self._since_flush = 0
-
     def send_many(self, lines: Iterable[str]) -> None:
         if self._closed:
             raise ConnectorError("transport is closed")
@@ -338,41 +301,28 @@ class TcpTransport(Transport):
             self._file.flush()
             self._since_flush = 0
 
-    def send_raw(self, data: "bytes | memoryview", count: int) -> None:
-        """Send pre-serialized line bytes straight through the socket.
+    def send_frame(
+        self, buf: "bytes | memoryview", count: int, *, binary: bool
+    ) -> None:
+        """Send stored bytes straight through the socket.
 
         The zero-copy path: after flushing any buffered text writes the
-        batch goes to ``sendall`` verbatim (one syscall for the whole
-        run).  A missing final newline is appended so the stream stays
-        line-delimited.
+        payload goes to ``sendall`` verbatim (one syscall for the whole
+        run), so a frame-aware receiver counts records from frame
+        headers instead of newlines.
         """
         if self._closed:
             raise ConnectorError("transport is closed")
         try:
             self._file.flush()
-            self._socket.sendall(data)
-            if len(data) and data[-1] != 0x0A:
-                self._socket.sendall(b"\n")
-        except OSError as exc:
-            raise ConnectorError(f"tcp write failed: {exc}") from exc
-
-    def send_frame(self, frame: "bytes | memoryview", count: int) -> None:
-        """Send one binary frame verbatim through the socket.
-
-        The first frame of the connection is preceded by the binary
-        stream magic so a frame-aware receiver autodetects the format
-        and counts records from frame headers instead of newlines.
-        """
-        if self._closed:
-            raise ConnectorError("transport is closed")
-        try:
-            self._file.flush()
-            if not self._magic_sent:
+            if binary and not self._magic_sent:
                 from repro.core.binfmt import MAGIC
 
                 self._socket.sendall(MAGIC)
                 self._magic_sent = True
-            self._socket.sendall(frame)
+            self._socket.sendall(buf)
+            if not binary and len(buf) and buf[-1] != 0x0A:
+                self._socket.sendall(b"\n")
         except OSError as exc:
             raise ConnectorError(f"tcp write failed: {exc}") from exc
 
@@ -402,7 +352,7 @@ class ShmTransport(Transport):
     The zero-syscall local transport: each batch is one length-prefixed
     slot copied straight into the ring's arena — no write syscall, no
     kernel buffer, no second copy on the consumer side (the receiver
-    reads the payload in place).  ``send_raw``/``send_frame`` accept
+    reads the payload in place).  :meth:`send_frame` accepts
     :class:`memoryview` slices of the shard file's mmap, so the only
     copy on the whole path is the single mmap→arena ``memcpy``.
 
@@ -467,11 +417,6 @@ class ShmTransport(Transport):
             self._pending = []
             self._producer.push_many(items, self._pending_kind)
 
-    def send(self, line: str) -> None:
-        from repro.core.shm import SLOT_RAW
-
-        self._append(line.encode("utf-8") + b"\n", 1, SLOT_RAW)
-
     def send_many(self, lines: Iterable[str]) -> None:
         if not isinstance(lines, list):
             lines = list(lines)
@@ -484,15 +429,12 @@ class ShmTransport(Transport):
         payload = ("\n".join(lines) + "\n").encode("utf-8")
         self._append(payload, len(lines), SLOT_RAW)
 
-    def send_raw(self, data: "bytes | memoryview", count: int) -> None:
-        from repro.core.shm import SLOT_RAW
+    def send_frame(
+        self, buf: "bytes | memoryview", count: int, *, binary: bool
+    ) -> None:
+        from repro.core.shm import SLOT_FRAME, SLOT_RAW
 
-        self._append(data, count, SLOT_RAW)
-
-    def send_frame(self, frame: "bytes | memoryview", count: int) -> None:
-        from repro.core.shm import SLOT_FRAME
-
-        self._append(frame, count, SLOT_FRAME)
+        self._append(buf, count, SLOT_FRAME if binary else SLOT_RAW)
 
     def close(self) -> None:
         if self._closed:

@@ -535,7 +535,9 @@ class LiveReplayer:
                     # events flush before being handled), so a binary
                     # wire batch is exactly one graph frame.
                     if binary_wire:
-                        transport.send_frame(encode_graph_frame(pending), count)
+                        transport.send_frame(
+                            encode_graph_frame(pending), count, binary=True
+                        )
                     else:
                         transport.send_many(format_lines(pending))
                 else:
@@ -554,7 +556,7 @@ class LiveReplayer:
                         count=count,
                     )
                     if binary_wire:
-                        transport.send_frame(payload, count)
+                        transport.send_frame(payload, count, binary=True)
                     else:
                         transport.send_many(payload)
                     send_end = perf_counter()

@@ -54,6 +54,16 @@ __all__ = [
 ]
 
 
+def _line_end(buf: "bytes | memoryview", lines: int) -> int:
+    """Offset just past the ``lines``-th newline of a CSV run."""
+    end = 0
+    if lines:
+        data = bytes(buf)
+        for __ in range(lines):
+            end = data.index(b"\n", end) + 1
+    return end
+
+
 def _validated_probability(name: str, value: float) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
@@ -67,8 +77,8 @@ def _validated_probability(name: str, value: float) -> float:
 class ChaosConfig:
     """Seeded runtime fault mix for one :class:`ChaosTransport`.
 
-    Probabilities are per *send operation* (one ``send`` call or one
-    ``send_many`` batch).  Fault kinds, checked in a fixed order:
+    Probabilities are per *send operation* (one ``send_many`` batch or
+    one ``send_frame`` payload).  Fault kinds, checked in a fixed order:
 
     * ``reset_probability`` — the whole batch is written but the
       connection "resets" before acknowledgement: the retrier must
@@ -172,72 +182,71 @@ class ChaosTransport(Transport):
         self.trace.append((operation, "ok"))
         return "ok", 0
 
-    def send(self, line: str) -> None:
-        kind, __ = self._next_fault(1)
-        if kind == "reset":
-            self._inner.send(line)
-            raise TransientTransportError(
-                "injected connection reset (line unacknowledged)",
-                unacknowledged=1,
-            )
-        if kind == "send_failure":
-            raise TransientTransportError("injected send failure")
-        if kind == "latency":
-            self._sleep(self.config.latency_seconds)
-        self._inner.send(line)
-
     def send_many(self, lines: Iterable[str]) -> None:
         if not isinstance(lines, list):
             lines = list(lines)
         if not lines:
             return
-        kind, cut = self._next_fault(len(lines))
+        self._inject(
+            len(lines),
+            lambda: self._inner.send_many(lines),
+            lambda cut: self._inner.send_many(lines[:cut]),
+        )
+
+    def send_frame(
+        self, buf: "bytes | memoryview", count: int, *, binary: bool
+    ) -> None:
+        """Inject faults into a stored-bytes payload.
+
+        A GTB1 frame is atomic on the wire, so a "partial" fault
+        delivers nothing (``delivered=0``) and the retrier resends the
+        whole frame.  A CSV run is cut after its ``k``-th newline, like
+        a line batch.
+        """
+        inner = self._inner
+
+        def send_prefix(cut: int) -> None:
+            inner.send_frame(buf[: _line_end(buf, cut)], cut, binary=False)
+
+        self._inject(
+            count,
+            lambda: inner.send_frame(buf, count, binary=binary),
+            None if binary else send_prefix,
+        )
+
+    def _inject(
+        self,
+        count: int,
+        send_all: Callable[[], None],
+        send_prefix: Callable[[int], None] | None,
+    ) -> None:
+        """Apply this operation's fault to a payload of ``count`` events.
+
+        ``send_prefix(k)`` delivers the first ``k`` events; ``None``
+        marks an atomic payload, which a partial fault cuts to nothing.
+        """
+        kind, cut = self._next_fault(count)
         if kind == "reset":
             # Delivered but never acknowledged: the retrier will resend.
-            self._inner.send_many(lines)
+            send_all()
             raise TransientTransportError(
                 "injected connection reset (batch unacknowledged)",
-                unacknowledged=len(lines),
-            )
-        if kind == "send_failure":
-            raise TransientTransportError("injected send failure")
-        if kind == "partial":
-            if cut:
-                self._inner.send_many(lines[:cut])
-            raise TransientTransportError(
-                f"injected partial batch failure ({cut}/{len(lines)} delivered)",
-                delivered=cut,
-            )
-        if kind == "latency":
-            self._sleep(self.config.latency_seconds)
-        self._inner.send_many(lines)
-
-    def send_frame(self, frame: "bytes | memoryview", count: int) -> None:
-        """Inject faults at frame granularity.
-
-        A frame is atomic on the binary wire, so a "partial" fault
-        delivers nothing (``delivered=0``) and the retrier resends the
-        whole frame — the at-least-once contract, just with a coarser
-        delivery unit than the CSV line path.
-        """
-        kind, __ = self._next_fault(count)
-        if kind == "reset":
-            self._inner.send_frame(frame, count)
-            raise TransientTransportError(
-                "injected connection reset (frame unacknowledged)",
                 unacknowledged=count,
             )
         if kind == "send_failure":
             raise TransientTransportError("injected send failure")
         if kind == "partial":
+            if send_prefix is None:
+                cut = 0
+            elif cut:
+                send_prefix(cut)
             raise TransientTransportError(
-                f"injected partial batch failure (0/{count} delivered; "
-                "frames are atomic)",
-                delivered=0,
+                f"injected partial batch failure ({cut}/{count} delivered)",
+                delivered=cut,
             )
         if kind == "latency":
             self._sleep(self.config.latency_seconds)
-        self._inner.send_frame(frame, count)
+        send_all()
 
     def close(self) -> None:
         self._inner.close()
@@ -391,14 +400,44 @@ class RetryingTransport(Transport):
         self._rng = random.Random(self.policy.seed)
         self.stats = DeliveryStats()
 
-    def send(self, line: str) -> None:
-        self.send_many([line])
-
     def send_many(self, lines: Iterable[str]) -> None:
         if not isinstance(lines, list):
             lines = list(lines)
         if not lines:
             return
+        self._deliver(
+            len(lines), lambda offset: self._inner.send_many(lines[offset:])
+        )
+
+    def send_frame(
+        self, buf: "bytes | memoryview", count: int, *, binary: bool
+    ) -> None:
+        """Retry a stored-bytes payload.
+
+        A GTB1 frame has no delivered-prefix resume (the wire unit is the
+        whole frame), so every retry resends it.  A CSV run resumes after
+        its last delivered line, like a line batch.
+        """
+        inner = self._inner
+        if binary:
+            self._deliver(
+                count, lambda offset: inner.send_frame(buf, count, binary=True)
+            )
+            return
+
+        def resend(offset: int) -> None:
+            inner.send_frame(
+                buf[_line_end(buf, offset) :], count - offset, binary=False
+            )
+
+        self._deliver(count, resend)
+
+    def _deliver(self, count: int, send_from: Callable[[int], None]) -> None:
+        """Deliver ``count`` events, retrying transient failures.
+
+        ``send_from(offset)`` sends every event from ``offset`` on; the
+        offset advances by whatever a failure reports as delivered.
+        """
         policy = self.policy
         breaker = self.breaker
         stats = self.stats
@@ -411,62 +450,14 @@ class RetryingTransport(Transport):
                 stats.breaker_rejections += 1
                 raise CircuitOpenError(
                     f"circuit open after {breaker.openings} opening(s); "
-                    f"{len(lines) - offset} line(s) undelivered"
+                    f"{count - offset} event(s) undelivered"
                 )
             attempt += 1
             stats.attempts += 1
             try:
-                self._inner.send_many(lines[offset:])
+                send_from(offset)
             except TransientTransportError as exc:
                 offset += exc.delivered
-                stats.redelivered_lines += exc.unacknowledged
-                if breaker is not None:
-                    breaker.record_failure()
-                out_of_attempts = attempt >= policy.max_attempts
-                out_of_time = (
-                    policy.deadline is not None
-                    and self._clock() - started >= policy.deadline
-                )
-                if out_of_attempts or out_of_time:
-                    stats.exhausted += 1
-                    reason = "attempts" if out_of_attempts else "deadline"
-                    raise DeliveryExhaustedError(
-                        f"gave up after {attempt} attempt(s) ({reason} "
-                        f"exhausted): {exc}",
-                        attempts=attempt,
-                    ) from exc
-                stats.retries += 1
-                self._sleep(policy.delay(attempt, self._rng))
-            else:
-                if breaker is not None:
-                    breaker.record_success()
-                return
-
-    def send_frame(self, frame: "bytes | memoryview", count: int) -> None:
-        """Retry a binary frame as one atomic unit.
-
-        Frames have no delivered-prefix resume (the wire unit is the
-        whole frame), so every retry resends it and unacknowledged
-        records count as redeliveries, same as the line path.
-        """
-        policy = self.policy
-        breaker = self.breaker
-        stats = self.stats
-        stats.operations += 1
-        started = self._clock()
-        attempt = 0
-        while True:
-            if breaker is not None and not breaker.allow():
-                stats.breaker_rejections += 1
-                raise CircuitOpenError(
-                    f"circuit open after {breaker.openings} opening(s); "
-                    f"{count} record(s) undelivered"
-                )
-            attempt += 1
-            stats.attempts += 1
-            try:
-                self._inner.send_frame(frame, count)
-            except TransientTransportError as exc:
                 stats.redelivered_lines += exc.unacknowledged
                 if breaker is not None:
                     breaker.record_failure()

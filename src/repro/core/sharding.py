@@ -50,11 +50,11 @@ Emission inside a worker runs in one of three modes:
   the trusted bulk parse of every batch.  Control events steer the
   replay as usual.  No checkpoint resume.
 * ``"raw"`` — a zero-copy loop over
-  :func:`repro.core.codec.iter_raw_batches`: graph-line runs are sent
-  as :class:`memoryview` slices of the shard file's mmap via
-  ``Transport.send_raw`` (binary frames via ``Transport.send_frame``),
-  skipping the parse/format round-trip entirely.  Control events still
-  steer the replay.  Raw mode does not support checkpoint resume.
+  :func:`repro.core.codec.iter_raw_batches`: graph-line runs and binary
+  frames are sent as :class:`memoryview` slices of the shard file's
+  mmap via ``Transport.send_frame``, skipping the parse/format
+  round-trip entirely.  Control events still steer the replay.  Raw
+  mode does not support checkpoint resume.
 
 All three modes read a frame view through the same
 ``view=(k, N)`` argument of the binary batch iterator, carried on
@@ -561,10 +561,10 @@ def _replay_stream(
 
     Paces each :class:`~repro.core.codec.RawBatch` with a
     :class:`~repro.core.replayer.Pacer`, which also applies the control
-    events.  Binary batches are whole frames sent through
-    ``send_frame`` and CSV line runs go through ``send_raw``: the stored
-    bytes hit the wire verbatim.  With ``decode`` the worker counts
-    each batch's records itself.  A binary shard (or frame view) is
+    events.  Each batch — a whole binary frame or a CSV line run — goes
+    through ``send_frame``, whose ``binary`` flag names the wire format:
+    the stored bytes hit the wire verbatim.  With ``decode`` the worker
+    counts each batch's records itself.  A binary shard (or frame view) is
     proven once, before the Pacer starts, by
     :func:`repro.core.witness.preverify_shard`, so the loop reads counts
     from frame headers; a CSV batch gets the trusted bulk parse.  That
@@ -577,7 +577,6 @@ def _replay_stream(
     failure: BaseException | None = None
     try:
         binary = codec.detect_stream_format(config.path) == "binary"
-        emit = transport.send_frame if binary else transport.send_raw
         if not decode:
             count_batch = None
         elif binary:
@@ -599,7 +598,7 @@ def _replay_stream(
                     # mode trusts the partitioner's counts).
                     count = count_batch(item.data)
                 pacer.pace(count)
-                emit(item.data, count)
+                transport.send_frame(item.data, count, binary=binary)
                 emitted += count
             elif isinstance(item, MarkerEvent):
                 pacer.marker(item.label)

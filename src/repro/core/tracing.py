@@ -408,42 +408,29 @@ class TracingTransport(Transport):
         tracer.count("transported", end_pos - self._counted)
         self._counted = end_pos
 
-    def send(self, line: str) -> None:
-        first_id = self._sent
-        if first_id + 1 > self._next_sample:
-            now = self._tracer.clock.now
-            start = now()
-            self._inner.send(line)
-            self._record(start, now(), first_id, 1)
-        else:
-            self._inner.send(line)
-        self._sent = first_id + 1
-
     def send_many(self, lines: Iterable[str]) -> None:
         if not isinstance(lines, list):
             lines = list(lines)
-        if not lines:
-            return
-        first_id = self._sent
-        count = len(lines)
-        if first_id + count > self._next_sample:
-            now = self._tracer.clock.now
-            start = now()
-            self._inner.send_many(lines)
-            self._record(start, now(), first_id, count)
-        else:
-            self._inner.send_many(lines)
-        self._sent = first_id + count
+        if lines:
+            self._traced(len(lines), self._inner.send_many, lines)
 
-    def send_frame(self, frame: "bytes | memoryview", count: int) -> None:
+    def send_frame(
+        self, buf: "bytes | memoryview", count: int, *, binary: bool
+    ) -> None:
+        self._traced(count, self._inner.send_frame, buf, count, binary=binary)
+
+    def _traced(
+        self, count: int, send: Callable[..., None], *args: Any, **kwargs: Any
+    ) -> None:
+        """Call ``send`` for ``count`` events; span it if sampled."""
         first_id = self._sent
         if first_id + count > self._next_sample:
             now = self._tracer.clock.now
             start = now()
-            self._inner.send_frame(frame, count)
+            send(*args, **kwargs)
             self._record(start, now(), first_id, count)
         else:
-            self._inner.send_frame(frame, count)
+            send(*args, **kwargs)
         self._sent = first_id + count
 
     def flush_counts(self) -> None:

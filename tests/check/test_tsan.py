@@ -23,10 +23,18 @@ class Counter:
 
 
 def _run_in_threads(fn, count=2, iterations=200):
-    threads = [
-        threading.Thread(target=lambda: [fn() for _ in range(iterations)])
-        for _ in range(count)
-    ]
+    # The barrier keeps every thread alive until all have started: a
+    # thread that finished before the next one started could hand its
+    # ident on, and the monitor would see one thread, not two.  (The
+    # barrier's internal lock is not tracked, so it orders nothing.)
+    barrier = threading.Barrier(count)
+
+    def run():
+        barrier.wait()
+        for _ in range(iterations):
+            fn()
+
+    threads = [threading.Thread(target=run) for _ in range(count)]
     for thread in threads:
         thread.start()
     for thread in threads:

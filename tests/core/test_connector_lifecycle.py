@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro.core.connectors import (
+    CallbackTransport,
     PipeReceiver,
     PipeSpec,
     PipeTransport,
@@ -20,7 +21,15 @@ from repro.core.connectors import (
 )
 from repro.core.events import add_vertex
 from repro.core.replayer import LiveReplayer
+from repro.core.resilience import (
+    ChaosConfig,
+    ChaosTransport,
+    RetryPolicy,
+    RetryingTransport,
+)
+from repro.core.sharding import WorkerConfig, replay_shard
 from repro.core.stream import GraphStream
+from repro.core.tracing import Tracer, TracingTransport
 from repro.errors import ConnectorError
 
 
@@ -142,59 +151,92 @@ class TestPipeTransportClose:
     def test_close_flush_failure_still_closes_owned_file(self):
         read_fd, write_fd = os.pipe()
         transport = PipeTransport(write_fd)
-        transport.send("x,1,")
+        transport.send_many(["x,1,"])
         os.close(read_fd)  # flush at close now hits a broken pipe
         transport.close()
         assert transport._file.closed
 
 
 class TestSendRaw:
+    """CSV line runs as stored bytes: ``send_frame(..., binary=False)``."""
+
     def test_pipe_transport_writes_bytes_verbatim(self, tmp_path):
         out = tmp_path / "out.csv"
         transport = PipeSpec(target=str(out)).build()
-        transport.send_raw(b"A,V,1\nA,V,2\n", 2)
-        transport.send_raw(b"A,V,3", 1)  # missing trailing newline
+        transport.send_frame(b"A,V,1\nA,V,2\n", 2, binary=False)
+        # missing trailing newline
+        transport.send_frame(b"A,V,3", 1, binary=False)
         transport.close()
         assert out.read_text() == "A,V,1\nA,V,2\nA,V,3\n"
 
     def test_pipe_transport_interleaves_with_text_sends(self, tmp_path):
         out = tmp_path / "out.csv"
         transport = PipeSpec(target=str(out)).build()
-        transport.send("A,V,1,")
-        transport.send_raw(b"A,V,2,\n", 1)
-        transport.send("A,V,3,")
+        transport.send_many(["A,V,1,"])
+        transport.send_frame(b"A,V,2,\n", 1, binary=False)
+        transport.send_many(["A,V,3,"])
         transport.close()
         assert out.read_text() == "A,V,1,\nA,V,2,\nA,V,3,\n"
 
     def test_tcp_transport_raw_round_trip(self):
         with TcpReceiver() as receiver:
             transport = TcpTransport(receiver.host, receiver.port)
-            transport.send_raw(b"A,V,1,\nA,V,2,\n", 2)
-            transport.send("A,V,3,")
+            transport.send_frame(b"A,V,1,\nA,V,2,\n", 2, binary=False)
+            transport.send_many(["A,V,3,"])
             transport.close()
         receiver.join(5.0)
         assert receiver.counter.total == 3
 
-    def test_default_send_raw_decodes_to_send_many(self):
+    def test_callback_transport_decodes_to_lines(self):
         sent: list[str] = []
+        transport = CallbackTransport(sent.append)
+        transport.send_frame(b"A,V,1,\nA,V,2,\n", 2, binary=False)
+        transport.send_frame(b"A,V,3,", 1, binary=False)
+        assert sent == ["A,V,1,", "A,V,2,", "A,V,3,"]
 
-        class Recording:
-            def send_many(self, lines):
-                sent.extend(lines)
+    def test_pipe_transport_without_buffer_decodes_to_lines(self):
+        sink = io.StringIO()
+        transport = PipeTransport(sink)
+        transport.send_frame(b"A,V,1,\nA,V,2,", 2, binary=False)
+        transport.close()
+        assert sink.getvalue() == "A,V,1,\nA,V,2,\n"
 
-        from repro.core.connectors import Transport
 
-        class Minimal(Transport):
-            send_many = staticmethod(Recording().send_many)
+def _chaos(inner):
+    # Latency only: the chain is built but never fails a send.
+    return ChaosTransport(
+        inner, ChaosConfig(latency_probability=1.0, latency_seconds=0.0)
+    )
 
-            def send(self, line):  # pragma: no cover - unused
-                sent.append(line)
 
-            def close(self):
-                pass
+def _retrying(inner):
+    return RetryingTransport(inner, RetryPolicy())
 
-        Minimal().send_raw(b"A,V,1,\nA,V,2,\n", 2)
-        assert sent == ["A,V,1,", "A,V,2,"]
+
+def _tracing(inner):
+    return TracingTransport(inner, Tracer())
+
+
+class TestWrappedRawReplay:
+    @pytest.mark.parametrize(
+        "wrap", [_chaos, _retrying, _tracing], ids=["chaos", "retry", "trace"]
+    )
+    def test_wrappers_pass_stored_bytes_through(self, tmp_path, wrap):
+        """A wrapper forwards a CSV run's bytes unchanged, even bytes
+        that are not UTF-8: a raw replay into a file copies the file."""
+        source = tmp_path / "in.csv"
+        source.write_bytes(
+            b"ADD_VERTEX,1,caf\xe9\nADD_VERTEX,2,\nADD_EDGE,1-2,\n"
+        )
+        out = tmp_path / "out.csv"
+        config = WorkerConfig(
+            index=0, path=str(source), rate=1e6, emission="raw"
+        )
+        report = replay_shard(
+            config, wrap(PipeSpec(target=str(out)).build())
+        )
+        assert report.events_emitted == 3
+        assert out.read_bytes() == source.read_bytes()
 
 
 class TestTcpReceiverMultiConnection:
@@ -222,7 +264,7 @@ class TestTcpReceiverMultiConnection:
                     for _ in range(2)
                 ]
                 for transport in transports:
-                    transport.send("A,V,1,")
+                    transport.send_many(["A,V,1,"])
                     transport.close()
             receiver.join(5.0)
             assert receiver.counter.total == 2

@@ -271,7 +271,7 @@ class TestViewVerification:
                 with pytest.raises(StreamFormatError):
                     replay_shard(config, sender)
                 with pytest.raises(ConnectorError, match="closed"):
-                    sender.send_frame(frame, 1)
+                    sender.send_frame(frame, 1, binary=True)
             # The ring is marked producer-closed: the drain ends.
             receiver.join(timeout=5.0)
         assert receiver.counter.total == 0

@@ -57,9 +57,6 @@ class FlakyTransport(Transport):
         self._fail_on = set(fail_on)
         self._error = error
 
-    def send(self, line):
-        self.send_many([line])
-
     def send_many(self, lines):
         self.calls += 1
         if self.calls in self._fail_on:
@@ -194,9 +191,6 @@ class TestCheckpointResume:
         calls = {"n": 0}
 
         class DieOnce(Transport):
-            def send(self, line):
-                self.send_many([line])
-
             def send_many(self, lines):
                 calls["n"] += 1
                 if calls["n"] == 10:

@@ -120,9 +120,9 @@ class TestCallbackReplay:
         assert received[0] == "ADD_VERTEX,0,"
 
     def test_binary_wire_format_through_default_transport(self):
-        # A transport without a native send_frame (CallbackTransport)
-        # gets the base-class fallback: frames decode back to CSV
-        # lines, so downstream consumers are unaffected.
+        # An in-process transport (CallbackTransport) decodes each
+        # frame back to CSV lines, so downstream consumers are
+        # unaffected.
         received = []
         report = LiveReplayer(
             GraphStream(_events(100) + [marker("m")] + _events(100)),
@@ -164,7 +164,7 @@ class TestPipeTransport:
         transport.close()
         os.close(read_fd)
         with pytest.raises(ConnectorError):
-            transport.send("x")
+            transport.send_many(["x"])
 
     def test_double_close_is_safe(self):
         read_fd, write_fd = os.pipe()

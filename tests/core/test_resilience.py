@@ -25,16 +25,17 @@ pytestmark = pytest.mark.chaos
 
 
 class RecordingTransport(Transport):
-    """Collects every delivered line; scriptable failures per call."""
+    """Collects every delivered line; scriptable failures per call.
+
+    A CSV run (``send_frame(..., binary=False)``) is recorded as its
+    lines, so line batches and byte runs share one failure script.
+    """
 
     def __init__(self, failures=()):
         self.lines: list[str] = []
         self.calls = 0
         self.closed = False
         self._failures = list(failures)
-
-    def send(self, line):
-        self.send_many([line])
 
     def send_many(self, lines):
         self.calls += 1
@@ -49,8 +50,28 @@ class RecordingTransport(Transport):
                 raise exc
         self.lines.extend(lines)
 
+    def send_frame(self, buf, count, *, binary):
+        assert not binary
+        lines = bytes(buf).decode("utf-8").splitlines()
+        assert len(lines) == count
+        self.send_many(lines)
+
     def close(self):
         self.closed = True
+
+
+def _send_lines(transport, lines):
+    transport.send_many(lines)
+
+
+def _send_csv_run(transport, lines):
+    run = "".join(f"{line}\n" for line in lines).encode("utf-8")
+    transport.send_frame(run, len(lines), binary=False)
+
+
+#: Both payload types with line-granular delivery: a text batch and
+#: the same lines stored as a CSV byte run.
+SENDERS = (_send_lines, _send_csv_run)
 
 
 class TestChaosConfig:
@@ -73,7 +94,7 @@ class TestChaosTransport:
     def test_clean_config_delivers_everything(self):
         inner = RecordingTransport()
         chaos = ChaosTransport(inner, ChaosConfig(seed=7))
-        chaos.send("a")
+        chaos.send_many(["a"])
         chaos.send_many(["b", "c"])
         assert inner.lines == ["a", "b", "c"]
         assert chaos.stats.total_faults == 0
@@ -92,23 +113,43 @@ class TestChaosTransport:
         assert chaos.stats.send_failures == 1
 
     def test_reset_delivers_but_reports_unacknowledged(self):
-        inner = RecordingTransport()
-        chaos = ChaosTransport(inner, ChaosConfig(reset_probability=1.0, seed=1))
-        with pytest.raises(TransientTransportError) as err:
-            chaos.send_many(["a", "b", "c"])
-        assert err.value.unacknowledged == 3
-        assert inner.lines == ["a", "b", "c"]
-        assert chaos.stats.resets == 1
+        for send in SENDERS:
+            inner = RecordingTransport()
+            chaos = ChaosTransport(
+                inner, ChaosConfig(reset_probability=1.0, seed=1)
+            )
+            with pytest.raises(TransientTransportError) as err:
+                send(chaos, ["a", "b", "c"])
+            assert err.value.unacknowledged == 3
+            assert inner.lines == ["a", "b", "c"]
+            assert chaos.stats.resets == 1
 
     def test_partial_batch_reports_delivered_prefix(self):
+        cuts = []
+        for send in SENDERS:
+            inner = RecordingTransport()
+            chaos = ChaosTransport(
+                inner, ChaosConfig(partial_batch_probability=1.0, seed=3)
+            )
+            with pytest.raises(TransientTransportError) as err:
+                send(chaos, [f"l{i}" for i in range(10)])
+            delivered = err.value.delivered
+            assert inner.lines == [f"l{i}" for i in range(delivered)]
+            assert 0 <= delivered < 10
+            assert chaos.stats.partial_batches == 1
+            cuts.append(delivered)
+        # Same seed, same cut: a byte run is cut after the k-th newline.
+        assert cuts[0] == cuts[1] > 0
+
+    def test_partial_frame_delivers_nothing(self):
         inner = RecordingTransport()
         chaos = ChaosTransport(
             inner, ChaosConfig(partial_batch_probability=1.0, seed=3)
         )
         with pytest.raises(TransientTransportError) as err:
-            chaos.send_many([f"l{i}" for i in range(10)])
-        assert inner.lines == [f"l{i}" for i in range(err.value.delivered)]
-        assert 0 <= err.value.delivered < 10
+            chaos.send_frame(b"GTB1 frame", 10, binary=True)
+        assert err.value.delivered == 0
+        assert inner.calls == 0
         assert chaos.stats.partial_batches == 1
 
     def test_partial_never_fires_on_single_line(self):
@@ -117,7 +158,7 @@ class TestChaosTransport:
             inner, ChaosConfig(partial_batch_probability=1.0, seed=3)
         )
         for i in range(20):
-            chaos.send(f"l{i}")
+            chaos.send_many([f"l{i}"])
         assert chaos.stats.partial_batches == 0
         assert len(inner.lines) == 20
 
@@ -177,7 +218,7 @@ class TestRetryingTransport:
     def test_success_passes_through(self):
         inner = RecordingTransport()
         transport = RetryingTransport(inner, RetryPolicy(max_attempts=3))
-        transport.send("a")
+        transport.send_many(["a"])
         assert inner.lines == ["a"]
         assert transport.stats.retries == 0
 
@@ -192,28 +233,31 @@ class TestRetryingTransport:
         assert transport.stats.attempts == 2
 
     def test_partial_batch_resumes_from_delivered_prefix(self):
-        inner = RecordingTransport(
-            failures=[TransientTransportError("partial", delivered=2)]
-        )
-        transport = RetryingTransport(
-            inner, RetryPolicy(max_attempts=3, base_delay=0.0)
-        )
-        transport.send_many(["a", "b", "c", "d"])
-        # No line delivered twice: the retry resumed at the cut point.
-        assert inner.lines == ["a", "b", "c", "d"]
-        assert transport.stats.redelivered_lines == 0
+        for send in SENDERS:
+            inner = RecordingTransport(
+                failures=[TransientTransportError("partial", delivered=2)]
+            )
+            transport = RetryingTransport(
+                inner, RetryPolicy(max_attempts=3, base_delay=0.0)
+            )
+            send(transport, ["a", "b", "c", "d"])
+            # No line delivered twice: the retry resumed at the cut point.
+            assert inner.lines == ["a", "b", "c", "d"]
+            assert inner.calls == 2
+            assert transport.stats.redelivered_lines == 0
 
     def test_reset_redelivers_unacknowledged_lines(self):
-        inner = RecordingTransport(
-            failures=[TransientTransportError("reset", unacknowledged=2)]
-        )
-        transport = RetryingTransport(
-            inner, RetryPolicy(max_attempts=3, base_delay=0.0)
-        )
-        transport.send_many(["a", "b"])
-        # At-least-once: the unacknowledged batch went through twice.
-        assert inner.lines == ["a", "b", "a", "b"]
-        assert transport.stats.redelivered_lines == 2
+        for send in SENDERS:
+            inner = RecordingTransport(
+                failures=[TransientTransportError("reset", unacknowledged=2)]
+            )
+            transport = RetryingTransport(
+                inner, RetryPolicy(max_attempts=3, base_delay=0.0)
+            )
+            send(transport, ["a", "b"])
+            # At-least-once: the unacknowledged batch went through twice.
+            assert inner.lines == ["a", "b", "a", "b"]
+            assert transport.stats.redelivered_lines == 2
 
     def test_attempt_exhaustion_raises(self):
         inner = RecordingTransport(

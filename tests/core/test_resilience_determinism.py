@@ -37,8 +37,17 @@ CHAOS = dict(
 )
 
 
-def _chaos_run(seed: int):
-    """One fixed workload through a chaos+retry chain; returns artifacts."""
+def _send_csv_run(transport, lines):
+    run = "".join(f"{line}\n" for line in lines).encode("utf-8")
+    transport.send_frame(run, len(lines), binary=False)
+
+
+def _chaos_run(seed: int, csv_runs: bool = False):
+    """One fixed workload through a chaos+retry chain; returns artifacts.
+
+    ``csv_runs`` sends each batch as stored CSV bytes
+    (``send_frame(..., binary=False)``) instead of text lines.
+    """
     received: list[str] = []
     chaos = ChaosTransport(
         CallbackTransport(received.append),
@@ -52,7 +61,10 @@ def _chaos_run(seed: int):
     )
     lines = [f"line-{i}" for i in range(1500)]
     for i in range(0, len(lines), 30):
-        transport.send_many(lines[i : i + 30])
+        if csv_runs:
+            _send_csv_run(transport, lines[i : i + 30])
+        else:
+            transport.send_many(lines[i : i + 30])
     return tuple(chaos.trace), tuple(received), chaos.stats
 
 
@@ -63,6 +75,8 @@ def test_same_seed_identical_fault_sequence_and_delivery():
     assert received_a == received_b
     assert stats_a == stats_b
     assert stats_a.total_faults > 0
+    # A CSV byte run draws, cuts and resumes exactly like a line batch.
+    assert _chaos_run(seed=99, csv_runs=True) == (trace_a, received_a, stats_a)
 
 
 def test_different_seed_different_fault_sequence():

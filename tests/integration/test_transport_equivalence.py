@@ -52,18 +52,18 @@ def streams(tmp_path_factory):
     return {"csv": csv_path, "binary": bin_path}
 
 
-def _replay(path, specs, batch_size):
+def _replay(path, specs, batch_size, emission="decode"):
     return ShardedReplayer(
         path,
         specs,
         rate=RATE,
         workers=WORKERS,
-        emission="decode",
+        emission=emission,
         batch_size=batch_size,
     ).run()
 
 
-def _run_pipe(path, batch_size):
+def _run_pipe(path, batch_size, emission):
     pipes = [os.pipe() for __ in range(WORKERS)]
     receivers = [PipeReceiver(read_fd) for read_fd, __ in pipes]
     for receiver in receivers:
@@ -73,6 +73,7 @@ def _run_pipe(path, batch_size):
             path,
             [PipeSpec(target=write_fd) for __, write_fd in pipes],
             batch_size,
+            emission,
         )
     finally:
         for __, write_fd in pipes:
@@ -86,15 +87,17 @@ def _run_pipe(path, batch_size):
     return report, sum(receiver.counter.total for receiver in receivers)
 
 
-def _run_tcp(path, batch_size):
+def _run_tcp(path, batch_size, emission):
     with TcpReceiver(max_connections=WORKERS) as receiver:
-        report = _replay(path, TcpSpec(port=receiver.port), batch_size)
+        report = _replay(
+            path, TcpSpec(port=receiver.port), batch_size, emission
+        )
     return report, receiver.counter.total
 
 
-def _run_shm(path, batch_size):
+def _run_shm(path, batch_size, emission):
     with ShmReceiver(max_producers=WORKERS) as receiver:
-        report = _replay(path, receiver.specs, batch_size)
+        report = _replay(path, receiver.specs, batch_size, emission)
     if receiver.error is not None:
         raise receiver.error
     return report, receiver.counter.total
@@ -104,20 +107,26 @@ _RUNNERS = {"pipe": _run_pipe, "tcp": _run_tcp, "shm": _run_shm}
 
 
 class TestTransportEquivalence:
+    # ``events`` emission reaches the wire through ``send_many`` (CSV)
+    # or ``send_frame(binary=True)``; ``decode`` and ``raw`` send stored
+    # bytes through ``send_frame`` in both wire formats.
+    @pytest.mark.parametrize("emission", ["events", "decode", "raw"])
     @pytest.mark.parametrize("fmt", ["csv", "binary"])
     @pytest.mark.parametrize("batch_size", [1, 256])
     def test_identical_counts_across_transports(
-        self, streams, fmt, batch_size
+        self, streams, fmt, batch_size, emission
     ):
         path = streams[fmt]
         emitted = {}
         delivered = {}
         for transport, runner in _RUNNERS.items():
-            report, total = runner(path, batch_size)
+            report, total = runner(path, batch_size, emission)
             emitted[transport] = report.events_emitted
             delivered[transport] = total
         assert len(set(emitted.values())) == 1, emitted
-        assert len(set(delivered.values())) == 1, delivered
+        # Every graph event (all but the one marker) arrives once, so
+        # the emission modes agree with one another too.
+        assert set(delivered.values()) == {len(_events()) - 1}, delivered
         # The replayer's own count and the receivers' independent count
         # must agree too — no transport may drop or duplicate.
         assert emitted["shm"] == delivered["shm"]
@@ -142,7 +151,7 @@ class TestShmLifecycle:
         def crash(spec):
             transport = spec.build()
             transport.send_frame(
-                binfmt.encode_graph_frame([add_vertex(1)]), 1
+                binfmt.encode_graph_frame([add_vertex(1)]), 1, binary=True
             )
             transport.flush()
             os._exit(1)  # no EOF, no close: a hard producer crash
@@ -195,7 +204,7 @@ class TestShmLifecycle:
         def produce():
             try:
                 for i in range(10_000):
-                    transport.send(f"v,{i}")
+                    transport.send_many([f"v,{i}"])
                 transport.flush()
             except ConnectorError as exc:
                 error.append(exc)
