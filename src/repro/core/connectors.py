@@ -3,13 +3,17 @@
 
 The framework's generic streaming interface supports different modes of
 operation, adapted by platform-specific connectors.  Here that interface
-is :class:`Transport`, with one method per payload type:
+is :class:`Transport`, with one method per payload type and one to
+hand buffered data over:
 
 * ``send_many(lines)`` — formatted CSV text lines, the live replayer's
   path;
 * ``send_frame(buf, count, binary=...)`` — stored bytes: one GTB1 frame
   (``binary=True``) or a run of newline-terminated CSV lines
-  (``binary=False``), which the sharded replayer sends verbatim.
+  (``binary=False``), which the sharded replayer sends verbatim;
+* ``flush()`` — deliver whatever the transport still buffers.  Sends
+  flush on count; the replay loops' :class:`~repro.core.replayer.Pacer`
+  also flushes before it waits, so paced events arrive paced.
 
 For live (wall-clock) replays four transports implement it:
 
@@ -92,14 +96,18 @@ def _payload_lines(buf: "bytes | memoryview", binary: bool) -> list[str]:
 class Transport:
     """Interface: deliver events to a system under test.
 
-    Two entry points, one per payload type:
+    Three methods, one per payload type plus a flush:
 
     * :meth:`send_many` — formatted CSV text lines (without their
       newlines), the live replayer's path;
     * :meth:`send_frame` — stored bytes carrying ``count`` events,
       either one GTB1 frame (``binary=True``) or a run of
       newline-terminated CSV lines (``binary=False``), the sharded
-      replayer's zero-copy path.
+      replayer's zero-copy path;
+    * :meth:`flush` — hand buffered events to the target now.  A
+      buffering transport flushes on count by itself; the replay loops'
+      Pacer calls this before it waits, so no event sits in a producer
+      buffer while the Pacer waits.
 
     ``binary`` is keyword-only and has no default, so every caller
     states its wire format.
@@ -120,6 +128,9 @@ class Transport:
         format) and terminate a CSV run whose final newline is missing.
         """
         raise NotImplementedError  # pragma: no cover - interface
+
+    def flush(self) -> None:
+        """Deliver buffered events; a no-op for unbuffered transports."""
 
     def close(self) -> None:
         """Release resources; further sends raise :class:`ConnectorError`."""
@@ -154,9 +165,11 @@ class CallbackTransport(Transport):
 class PipeTransport(Transport):
     """Writes newline-terminated lines to a file object or fd.
 
-    Writes are buffered and flushed every ``flush_every`` events to keep
-    per-event overhead low at high rates (the replayer's write path
-    must not become the bottleneck being measured).
+    Writes are buffered and flushed every ``flush_every`` events, or
+    when the replayer's Pacer waits (:meth:`flush`), to keep per-event overhead
+    low at high rates (the replayer's write path must not become the
+    bottleneck being measured) without holding paced events back.
+    A failed write or flush raises :class:`ConnectorError`.
     """
 
     def __init__(self, target, flush_every: int = 512, owns: bool | None = None):
@@ -187,8 +200,7 @@ class PipeTransport(Transport):
             raise ConnectorError(f"pipe write failed: {exc}") from exc
         self._since_flush += len(lines)
         if self._since_flush >= self._flush_every:
-            self._file.flush()
-            self._since_flush = 0
+            self.flush()
 
     def send_frame(
         self, buf: "bytes | memoryview", count: int, *, binary: bool
@@ -219,8 +231,17 @@ class PipeTransport(Transport):
             raise ConnectorError(f"pipe write failed: {exc}") from exc
         self._since_flush += count
         if self._since_flush >= self._flush_every:
-            buffer.flush()
-            self._since_flush = 0
+            self.flush()
+
+    def flush(self) -> None:
+        if self._closed or not self._since_flush:
+            return
+        try:
+            # A text file's flush also flushes its binary buffer.
+            self._file.flush()
+        except (OSError, ValueError) as exc:
+            raise ConnectorError(f"pipe write failed: {exc}") from exc
+        self._since_flush = 0
 
     def close(self) -> None:
         if self._closed:
@@ -298,8 +319,7 @@ class TcpTransport(Transport):
             raise ConnectorError(f"tcp write failed: {exc}") from exc
         self._since_flush += len(lines)
         if self._since_flush >= self._flush_every:
-            self._file.flush()
-            self._since_flush = 0
+            self.flush()
 
     def send_frame(
         self, buf: "bytes | memoryview", count: int, *, binary: bool
@@ -325,6 +345,15 @@ class TcpTransport(Transport):
                 self._socket.sendall(b"\n")
         except OSError as exc:
             raise ConnectorError(f"tcp write failed: {exc}") from exc
+
+    def flush(self) -> None:
+        if self._closed or not self._since_flush:
+            return
+        try:
+            self._file.flush()
+        except OSError as exc:
+            raise ConnectorError(f"tcp write failed: {exc}") from exc
+        self._since_flush = 0
 
     def close(self) -> None:
         if self._closed:
@@ -361,8 +390,11 @@ class ShmTransport(Transport):
     :meth:`~repro.core.shm.RingProducer.push_many`, which amortizes the
     space check and head publication over the whole run — the same
     batching discipline as :class:`PipeTransport`'s ``flush_every``,
-    and what keeps the per-slot cost below the pipe's.  :meth:`close`
-    flushes.
+    and what keeps the per-slot cost below the pipe's.  A paced replay
+    also flushes whenever its next batch is not yet due, so slots reach
+    the ring at the pacing rate instead of in ``flush_every``-slot
+    bursts; a flat-out run never waits and keeps the full batching.
+    :meth:`close` flushes.
 
     Backpressure is the ring filling up: a flush blocks in a bounded
     spin-then-sleep until the consumer frees space, and raises
@@ -371,12 +403,14 @@ class ShmTransport(Transport):
     socket buffer.  Exactly one producer per ring (SPSC); the sharded
     replayer uses one ring per worker.
 
-    On :meth:`close` the producer pushes a best-effort EOF slot (so a
-    draining receiver finishes promptly), marks the producer side
-    closed, and drops its mapping.  The ring segment itself is owned —
-    created and unlinked — by the :class:`ShmReceiver`; a transport
-    never unlinks, so a crashing worker cannot strand or double-free
-    the segment.
+    On :meth:`close` the producer flushes, marks the producer side
+    closed, pushes a best-effort EOF slot after a good flush (so a
+    draining receiver finishes promptly) and drops its mapping.  A
+    failed flush is raised after all that: its slots never reached the
+    ring, so the replay must not report them delivered.  The ring
+    segment itself is owned — created and unlinked — by the
+    :class:`ShmReceiver`; a transport never unlinks, so a crashing
+    worker cannot strand or double-free the segment.
     """
 
     def __init__(
@@ -440,22 +474,29 @@ class ShmTransport(Transport):
         if self._closed:
             return
         self._closed = True
+        failure: ConnectorError | None = None
         try:
-            try:
-                self.flush()
-            finally:
-                # Flag even if the flush failed: a draining receiver
-                # must see the producer is done once the ring empties,
-                # EOF slot or not (ring wedged full, consumer gone).
-                self._ring.set_producer_closed()
-            self._producer.push_eof()
+            self.flush()
+        except ConnectorError as exc:
+            failure = exc
+        except ValueError as exc:  # mapping released under us
+            failure = ConnectorError(f"shm flush failed: {exc}")
+        try:
+            # Flag even if the flush failed: a draining receiver must
+            # see the producer is done once the ring empties, EOF slot
+            # or not (ring wedged full, consumer gone).
+            self._ring.set_producer_closed()
+            if failure is None:
+                self._producer.push_eof()
         except (ConnectorError, ValueError):
-            # Consumer gone or mapping already invalid: nothing left to
-            # signal — the receiver's producer_closed/stop paths cover
-            # this side's disappearance.
+            # Mapping already invalid: nothing left to signal — the
+            # receiver's producer_closed/stop paths cover this side's
+            # disappearance.
             pass
         finally:
             self._ring.close()
+        if failure is not None:
+            raise failure
 
 
 class TransportSpec:

@@ -145,15 +145,27 @@ class ReplayReport:
 class Pacer:
     """The clock of one replay: a token bucket and its rate records.
 
-    Batches are due at ``rate`` events per second times the ``SPEED``
-    factor in effect.  :meth:`pace` sleeps to about 1 ms before the
-    deadline and busy-waits the rest; a caller more than one window
-    behind forfeits the debt, so a slow transport degrades the rate
-    instead of bursting afterwards.  A replay loop calls ``pace(count)``
-    right before sending each batch, hands its control events to
-    :meth:`marker` and :meth:`control`, and ends with :meth:`finish`.
-    ``window_rates`` gets one entry per closed window, ``marker_times``
-    are run-relative and ``start`` is the run start on ``clock``.
+    Events are due at ``rate`` events per second times the ``SPEED``
+    factor in effect, and a batch is due with its last event, so no
+    event is sent ahead of its time.  :meth:`pace` sleeps to about
+    1 ms before the deadline and busy-waits the rest; a caller more
+    than one window behind forfeits the debt, so a slow transport
+    degrades the rate instead of bursting afterwards.  A replay loop
+    calls ``pace(count)`` right before sending each batch, hands its
+    control events to :meth:`marker` and :meth:`control`, and ends with
+    :meth:`finish`.  ``window_rates`` gets one entry per closed window,
+    ``marker_times`` are run-relative and ``start`` is the run start on
+    ``clock``.
+
+    ``flush`` is the loop's transport flush.  The Pacer calls it
+    whenever it is about to wait (the next batch is not yet due, or a
+    ``PAUSE`` sleeps), so no sent event sits in a producer buffer while
+    the Pacer waits: paced events arrive paced, not in
+    ``flush_every``-sized bursts.  (A loop blocked on its source, not
+    on the Pacer, still holds its last sends until the next flush.)
+    A flat-out run is never ahead of schedule and keeps pure
+    count-based flushing, and a flush that makes the producer fall
+    behind stops the extra flushes by itself.
     """
 
     #: Sleep when more than this far from the deadline; busy-wait below it.
@@ -169,9 +181,16 @@ class Pacer:
                 f"window_seconds must be positive, got {window_seconds}"
             )
 
-    def __init__(self, rate: float, window_seconds: float, clock: TraceClock):
+    def __init__(
+        self,
+        rate: float,
+        window_seconds: float,
+        clock: TraceClock,
+        flush: Callable[[], None],
+    ):
         self.check(rate, window_seconds)
         self._now = clock.now
+        self._flush = flush
         self._rate = rate
         self._window_seconds = window_seconds
         self.speed_factor = 1.0
@@ -184,7 +203,8 @@ class Pacer:
 
     # hot-path
     def pace(self, count: int) -> None:
-        """Block until the next batch, of ``count`` events, is due.
+        """Block until the next batch, of ``count`` events, is due,
+        flushing the transport first when there is time to wait.
 
         The previous batch is booked into its window here, once the
         caller comes back for the next one, so a batch whose send
@@ -193,8 +213,15 @@ class Pacer:
         if self._sent_at - self._window_start >= self._window_seconds:
             self._close_window()
         now = self._now()
-        deadline = self._next_emit
+        # A batch is due with its last event, so no event leaves early.
+        deadline = self._next_emit + (count - 1) * self._interval
         wait = deadline - now
+        if wait > 0:
+            # Ahead of schedule: deliver what the transport buffers
+            # before waiting, then wait out whatever time is left.
+            self._flush()
+            now = self._now()
+            wait = deadline - now
         if wait > 0:
             if wait > self._SPIN_THRESHOLD:
                 # pacing sleep, bounded by the next emit slot
@@ -204,8 +231,8 @@ class Pacer:
                 pass
             now = deadline
         elif -wait > self._window_seconds:
-            self._next_emit = now
-        self._next_emit += count * self._interval
+            deadline = now
+        self._next_emit = deadline + self._interval
         self._window_count += count
         self._sent_at = now
 
@@ -229,11 +256,12 @@ class Pacer:
 
     def control(self, event: Event) -> None:
         """Apply a ``SPEED`` event (rescale the interval) or a ``PAUSE``
-        event (sleep, then restart the deadline)."""
+        event (flush, sleep, then restart the deadline)."""
         if isinstance(event, SpeedEvent):
             self.speed_factor = event.factor
             self._interval = 1.0 / (self._rate * event.factor)
         elif isinstance(event, PauseEvent):
+            self._flush()
             # PAUSE events block by design
             time.sleep(event.seconds)  # repro-check: disable=HOT001
             self._next_emit = self._now()
@@ -508,7 +536,14 @@ class LiveReplayer:
                 tracer.count("emitted", emitted - traced_counted)
                 traced_counted = emitted
 
-        pacer = Pacer(self._base_rate, self._window_seconds, self._clock)
+        # Flush whichever transport is current: a resume may have
+        # replaced it through the transport factory.
+        pacer = Pacer(
+            self._base_rate,
+            self._window_seconds,
+            self._clock,
+            flush=lambda: self._transport.flush(),
+        )
         reader_error: Exception | None = None
 
         while True:

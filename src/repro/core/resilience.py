@@ -248,6 +248,10 @@ class ChaosTransport(Transport):
             self._sleep(self.config.latency_seconds)
         send_all()
 
+    def flush(self) -> None:
+        """Flush the inner transport; no fault is drawn for it."""
+        self._inner.flush()
+
     def close(self) -> None:
         self._inner.close()
 
@@ -480,6 +484,9 @@ class RetryingTransport(Transport):
                 if breaker is not None:
                     breaker.record_success()
                 return
+
+    def flush(self) -> None:
+        self._inner.flush()
 
     def close(self) -> None:
         self._inner.close()

@@ -585,7 +585,12 @@ def _replay_stream(
             count_batch = witness.count_verified_frame
         else:
             count_batch = _csv_batch_counter(config.path)
-        pacer = Pacer(config.rate, config.window_seconds, shared_clock())
+        pacer = Pacer(
+            config.rate,
+            config.window_seconds,
+            shared_clock(),
+            flush=transport.flush,
+        )
         for item in codec.iter_raw_batches(
             config.path, batch_lines=config.batch_lines, view=config.view
         ):

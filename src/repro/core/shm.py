@@ -54,6 +54,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.core import binfmt
 from repro.errors import ConnectorError, StreamFormatError
 
 __all__ = [
@@ -440,8 +441,12 @@ class RingProducer:
         against :meth:`push` — the difference between losing to and
         beating the pipe transport on a single-CPU machine.  Blocking
         first publishes the slots written so far, so a full ring drains
-        while this side waits.
+        while this side waits.  A closed consumer raises
+        :class:`~repro.errors.ConnectorError` up front, even when the
+        ring has room: slots nobody will read are not delivered.
         """
+        if self._ring.consumer_closed():
+            raise ConnectorError("shm ring consumer is closed")
         buf = self._buf
         arena_off = self._arena_off
         arena_cap = self._arena_cap
@@ -648,8 +653,6 @@ class RingConsumer:
         return self._drain_counts_loop(n)
 
     def _drain_counts_loop(self, n: int) -> tuple[int, int, bool]:
-        from repro.core import binfmt
-
         records = 0
         consumed = 0
         while consumed < n:
@@ -711,8 +714,6 @@ class RingConsumer:
 
     def _drain_counts_vector(self, n: int) -> "tuple[int, int, bool] | None":
         """Vectorized drain: None means "loop path must re-check"."""
-        from repro.core import binfmt
-
         start = self._pending_seq
         first = start % self._slots
         span = min(n, self._slots - first)
@@ -922,8 +923,6 @@ def scan_slot_stream(data: "bytes | memoryview") -> tuple[int, int]:
     or malformed payload raises
     :class:`~repro.errors.StreamFormatError`.
     """
-    from repro.core import binfmt
-
     slots = 0
     records = 0
     position = len(SLOT_STREAM_MAGIC)

@@ -433,6 +433,9 @@ class TracingTransport(Transport):
             send(*args, **kwargs)
         self._sent = first_id + count
 
+    def flush(self) -> None:
+        self._inner.flush()
+
     def flush_counts(self) -> None:
         """Flush the deferred exact ``transported`` count to the tracer."""
         if self._sent > self._counted:

@@ -11,11 +11,14 @@ import time
 
 import pytest
 
+from repro.core import shm
 from repro.core.connectors import (
     CallbackTransport,
     PipeReceiver,
     PipeSpec,
     PipeTransport,
+    ShmSpec,
+    ShmTransport,
     TcpReceiver,
     TcpTransport,
 )
@@ -27,7 +30,7 @@ from repro.core.resilience import (
     RetryPolicy,
     RetryingTransport,
 )
-from repro.core.sharding import WorkerConfig, replay_shard
+from repro.core.sharding import ShardedReplayer, WorkerConfig, replay_shard
 from repro.core.stream import GraphStream
 from repro.core.tracing import Tracer, TracingTransport
 from repro.errors import ConnectorError
@@ -155,6 +158,50 @@ class TestPipeTransportClose:
         os.close(read_fd)  # flush at close now hits a broken pipe
         transport.close()
         assert transport._file.closed
+
+
+@pytest.fixture
+def closed_consumer_ring():
+    """A ring whose consumer has gone, its segment still linked."""
+    ring = shm.ShmRing.create(slots=16, arena_bytes=1 << 14)
+    ring.set_consumer_closed()
+    try:
+        yield ring
+    finally:
+        ring.close()
+        ring.unlink()
+
+
+class TestShmTransportClose:
+    def test_close_raises_undelivered_flush_and_releases(
+        self, closed_consumer_ring
+    ):
+        transport = ShmTransport(closed_consumer_ring.name)
+        transport.send_many([f"ADD_VERTEX,{i}," for i in range(10)])
+        with pytest.raises(ConnectorError, match="consumer is closed"):
+            transport.close()
+        # The producer side is still flagged closed and unmapped.
+        assert closed_consumer_ring.producer_closed()
+        assert transport._ring.closed
+        assert closed_consumer_ring.head_seq() == 0
+        transport.close()  # idempotent after the failure
+
+    def test_one_worker_replay_reports_undelivered_events(
+        self, tmp_path, closed_consumer_ring
+    ):
+        path = tmp_path / "s.gtb"
+        GraphStream([add_vertex(i) for i in range(10)]).write(
+            path, format="binary"
+        )
+        replayer = ShardedReplayer(
+            str(path),
+            ShmSpec(name=closed_consumer_ring.name),
+            rate=1e9,
+            workers=1,
+            emission="decode",
+        )
+        with pytest.raises(ConnectorError, match="consumer is closed"):
+            replayer.run()
 
 
 class TestSendRaw:

@@ -5,6 +5,7 @@ so the tests stay fast and robust on loaded CI machines.
 """
 
 import os
+import time
 
 import pytest
 
@@ -17,9 +18,10 @@ from repro.core.connectors import (
     WindowCounter,
 )
 from repro.core.events import add_vertex, marker, pause, speed
-from repro.core.replayer import LiveReplayer
+from repro.core.replayer import LiveReplayer, Pacer
 from repro.core.sharding import WorkerConfig, replay_shard
 from repro.core.stream import GraphStream
+from repro.core.tracing import TraceClock
 from repro.errors import ConnectorError, ReplayError
 
 
@@ -145,6 +147,74 @@ class TestCallbackReplay:
             )
 
 
+class _SteppingSource:
+    """A fake time source that advances ``step`` seconds per read."""
+
+    def __init__(self, step: float):
+        self.now = 0.0
+        self._step = step
+
+    def __call__(self) -> float:
+        self.now += self._step
+        return self.now
+
+
+class TestPacerSchedule:
+    def test_batch_is_due_with_its_last_event(self):
+        source = _SteppingSource(1e-5)
+        pacer = Pacer(
+            1000, 1.0, TraceClock(source=source, origin=0.0), lambda: None
+        )
+        pacer.pace(4)  # events 0-3: due with event 3, 3 ms in
+        assert pacer.start + 0.003 <= source.now < pacer.start + 0.0031
+        pacer.pace(1)  # event 4
+        assert pacer.start + 0.004 <= source.now < pacer.start + 0.0041
+
+
+class TestPacerFlush:
+    """The Pacer flushes the transport before it waits, never when the
+    loop is behind schedule."""
+
+    def test_flat_out_never_flushes(self):
+        flushes = []
+        # Every clock read costs 1 us, more than a 256-event batch is
+        # worth at 1e9 eps: the loop is never ahead of schedule.
+        clock = TraceClock(source=_SteppingSource(1e-6), origin=0.0)
+        pacer = Pacer(1e9, 1.0, clock, flush=lambda: flushes.append(1))
+        for __ in range(10_000):
+            pacer.pace(256)
+        assert flushes == []
+
+    def test_batch_not_yet_due_flushes_once_before_waiting(self):
+        source = _SteppingSource(1e-5)
+        flushed_at = []
+        pacer = Pacer(
+            1000,
+            1.0,
+            TraceClock(source=source, origin=0.0),
+            flush=lambda: flushed_at.append(source.now),
+        )
+        pacer.pace(1)  # due at once
+        assert flushed_at == []
+        deadline = pacer.start + 0.001
+        pacer.pace(1)  # due 1 ms after the start
+        assert len(flushed_at) == 1
+        assert flushed_at[0] < deadline <= source.now
+
+    def test_pause_flushes_before_sleeping(self):
+        flushed_at = []
+        pacer = Pacer(
+            1000,
+            1.0,
+            TraceClock(),
+            flush=lambda: flushed_at.append(time.perf_counter()),
+        )
+        pacer.control(pause(0.02))
+        slept = time.perf_counter() - flushed_at[0]
+        assert len(flushed_at) == 1
+        assert slept >= 0.02
+
+
 class TestPipeTransport:
     def test_round_trip(self):
         read_fd, write_fd = os.pipe()
@@ -172,6 +242,30 @@ class TestPipeTransport:
         transport.close()
         transport.close()
         os.close(read_fd)
+
+    @pytest.mark.parametrize("method", ["send_many", "send_frame"])
+    def test_broken_pipe_on_count_flush_is_connector_error(self, method):
+        read_fd, write_fd = os.pipe()
+        transport = PipeTransport(write_fd, flush_every=512)
+        os.close(read_fd)
+        # 512 events fit the write buffer; the count flush hits EPIPE.
+        with pytest.raises(ConnectorError, match="pipe write failed"):
+            if method == "send_many":
+                transport.send_many(["ADD_VERTEX,1,"] * 512)
+            else:
+                transport.send_frame(
+                    b"ADD_VERTEX,1,\n" * 512, 512, binary=False
+                )
+        transport.close()
+
+    def test_broken_pipe_on_flush_is_connector_error(self):
+        read_fd, write_fd = os.pipe()
+        transport = PipeTransport(write_fd)
+        transport.send_many(["ADD_VERTEX,1,"])
+        os.close(read_fd)
+        with pytest.raises(ConnectorError, match="pipe write failed"):
+            transport.flush()
+        transport.close()
 
 
 class TestTcpTransport:

@@ -136,6 +136,13 @@ class TestRingBlocking:
         with pytest.raises(ConnectorError, match="consumer is closed"):
             producer.push(b"x", 1, shm.SLOT_RAW)
 
+    def test_push_many_to_closed_consumer_fails_with_room_left(self, ring):
+        producer = shm.RingProducer(ring)
+        ring.set_consumer_closed()
+        with pytest.raises(ConnectorError, match="consumer is closed"):
+            producer.push_many([(b"x", 1)], shm.SLOT_RAW)
+        assert ring.head_seq() == 0
+
     def test_oversized_slot_rejected(self, ring):
         producer = shm.RingProducer(ring)
         with pytest.raises(ConnectorError, match="exceeds half"):
